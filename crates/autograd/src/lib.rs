@@ -49,7 +49,7 @@ mod var;
 
 pub use cg::{conjugate_gradient, conjugate_gradient_multi, CgSolution, SolveOutcome, SolveStatus};
 pub use hvp::HvpMode;
-pub use sparse::{spmm, SparseMatrix, SparseMatrixF32, SparseOperand, SparseShards, SparseSide};
+pub use sparse::{spmm, SparseMatrix, SparseOperand, SparseShards, SparseSide};
 pub use tape::{NodeId, Op, Tape, TapeStats};
 pub use tensor::Tensor;
 pub use var::Var;

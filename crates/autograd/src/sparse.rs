@@ -376,110 +376,6 @@ impl SparseShards {
     }
 }
 
-/// A CSR sparse matrix downcast to `f32` values: the fused lane kernel behind
-/// the opt-in fast path ([`SparseMatrix::to_f32`]).
-///
-/// This type is *not* a tape citizen — it exists for precision-tolerant
-/// inference-style products (serving, screening sweeps) where a documented
-/// ≤1e-4-relative deviation buys halved memory traffic. The exact planner
-/// path never touches it.
-#[derive(Clone)]
-pub struct SparseMatrixF32 {
-    rows: usize,
-    cols: usize,
-    row_ptr: Vec<usize>,
-    col_idx: Vec<u32>,
-    vals: Vec<f32>,
-}
-
-impl std::fmt::Debug for SparseMatrixF32 {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("SparseMatrixF32")
-            .field("rows", &self.rows)
-            .field("cols", &self.cols)
-            .field("nnz", &self.vals.len())
-            .finish()
-    }
-}
-
-impl SparseMatrix {
-    /// Downcasts values to `f32` for the fast-path kernels. Structure is
-    /// shared logic-for-logic with the `f64` matrix, so row iteration order —
-    /// and thus accumulation order — is identical.
-    pub fn to_f32(&self) -> SparseMatrixF32 {
-        SparseMatrixF32 {
-            rows: self.rows,
-            cols: self.cols,
-            row_ptr: self.row_ptr.clone(),
-            col_idx: self.col_idx.clone(),
-            vals: self.vals.iter().map(|&v| v as f32).collect(),
-        }
-    }
-}
-
-impl SparseMatrixF32 {
-    /// Number of rows.
-    pub fn rows(&self) -> usize {
-        self.rows
-    }
-
-    /// Number of columns.
-    pub fn cols(&self) -> usize {
-        self.cols
-    }
-
-    /// Number of stored entries.
-    pub fn nnz(&self) -> usize {
-        self.vals.len()
-    }
-
-    /// Resident bytes of the CSR arrays (half the value payload of the `f64`
-    /// matrix).
-    pub fn resident_bytes(&self) -> usize {
-        self.row_ptr.len() * std::mem::size_of::<usize>()
-            + self.col_idx.len() * std::mem::size_of::<u32>()
-            + self.vals.len() * std::mem::size_of::<f32>()
-    }
-
-    /// Fused sparse × dense product `A·X` over row-major `x` with `d` columns
-    /// (`x.len() == cols·d`), returning a row-major `[rows, d]` buffer.
-    ///
-    /// The inner loop is a lane-unrolled axpy: for each stored entry the
-    /// operand row streams through in contiguous 8-wide blocks, so the
-    /// compiler can keep the `val` broadcast and the block in vector
-    /// registers. Accumulation per output row follows CSR entry order — the
-    /// same association order as [`SparseMatrix::spmm`], only in `f32`.
-    ///
-    /// # Panics
-    /// Panics when `x.len()` is not `cols·d`.
-    pub fn spmm(&self, x: &[f32], d: usize) -> Vec<f32> {
-        assert_eq!(x.len(), self.cols * d, "spmm operand must be [cols, {d}] row-major");
-        let mut out = vec![0.0f32; self.rows * d];
-        for i in 0..self.rows {
-            let orow = &mut out[i * d..(i + 1) * d];
-            for k in self.row_ptr[i]..self.row_ptr[i + 1] {
-                let j = self.col_idx[k] as usize;
-                let v = self.vals[k];
-                let xrow = &x[j * d..(j + 1) * d];
-                // 8-wide blocks with a scalar tail: fixed-size chunks let the
-                // autovectorizer emit one fma per lane without a remainder
-                // check inside the hot loop.
-                let mut oc = orow.chunks_exact_mut(8);
-                let mut xc = xrow.chunks_exact(8);
-                for (ob, xb) in (&mut oc).zip(&mut xc) {
-                    for l in 0..8 {
-                        ob[l] += v * xb[l];
-                    }
-                }
-                for (o, &xv) in oc.into_remainder().iter_mut().zip(xc.remainder()) {
-                    *o += v * xv;
-                }
-            }
-        }
-        out
-    }
-}
-
 /// One side (forward or backward orientation) of a [`SparseOperand`]: a
 /// whole CSR matrix or its row-range-sharded form. Both multiply a dense
 /// operand bit-identically; `Sharded` is the layout the million-user worlds
@@ -576,22 +472,6 @@ impl SparseOperand {
         debug_assert!(m.is_symmetric(), "SparseOperand::symmetric_sharded needs A = Aᵀ");
         let fwd = SparseSide::Sharded(Arc::new(SparseShards::split(&m, k)));
         Arc::new(Self { fwd: fwd.clone(), bwd: fwd })
-    }
-
-    /// The forward-direction matrix, when stored whole.
-    ///
-    /// # Panics
-    /// Panics for a sharded operand — callers that need the contiguous
-    /// matrix (e.g. the f32 fast-adjacency downcast) must build from the
-    /// non-sharded cache path; see [`SparseOperand::forward`] for the
-    /// layout-agnostic view.
-    pub fn matrix(&self) -> &SparseMatrix {
-        match &self.fwd {
-            SparseSide::Whole(m) => m,
-            SparseSide::Sharded(_) => {
-                panic!("SparseOperand::matrix on a sharded operand; use forward()")
-            }
-        }
     }
 
     /// The forward side in whichever layout it is stored.
@@ -765,11 +645,11 @@ mod tests {
         let loss = spmm(&op, x).mul(w).sum();
         assert_eq!(
             spmm(&op, x).value().to_vec(),
-            op.matrix().to_dense().matmul(&x0).to_vec(),
+            sample().to_dense().matmul(&x0).to_vec(),
             "tape forward must equal the raw kernel"
         );
         let g = tape.grad(loss, &[x]).remove(0);
-        let dense = op.matrix().to_dense();
+        let dense = sample().to_dense();
         let f = |t: &Tensor| {
             dense.matmul(t).to_vec().iter().zip(1..=8).map(|(&y, wi)| y * wi as f64).sum()
         };
@@ -789,34 +669,9 @@ mod tests {
         };
         let v = Tensor::from_vec(vec![1.0, 2.0, -1.0], &[3]);
         let hv = crate::hvp::hvp_exact(&tape, loss, x, &v);
-        let ad = op.matrix().to_dense();
+        let ad = sample().to_dense();
         let expect = ad.transpose().matmul(&ad.matmul(&v.reshape(&[3, 1]))).map(|z| 2.0 * z);
         assert!(hv.reshape(&[3, 1]).max_abs_diff(&expect) < 1e-12, "hvp {:?}", hv.to_vec());
-    }
-
-    #[test]
-    fn f32_spmm_tracks_f64_within_tolerance() {
-        let a = sample();
-        let af = a.to_f32();
-        assert_eq!(af.nnz(), a.nnz());
-        assert!(af.resident_bytes() < a.resident_bytes());
-        // d = 10 exercises both the 8-wide block and the scalar tail.
-        let d = 10;
-        let x64 = Tensor::from_vec((0..3 * d).map(|i| (i as f64 * 0.37).sin()).collect(), &[3, d]);
-        let x32: Vec<f32> = x64.data().iter().map(|&v| v as f32).collect();
-        let y64 = a.spmm(&x64);
-        let y32 = af.spmm(&x32, d);
-        assert_eq!(y32.len(), y64.numel());
-        for (i, (&f, &e)) in y32.iter().zip(y64.data().iter()).enumerate() {
-            assert!((f as f64 - e).abs() < 1e-5, "[{i}] f32 {f} vs f64 {e}");
-        }
-    }
-
-    #[test]
-    fn f32_spmm_handles_d1_and_empty_rows() {
-        let a = sample().to_f32();
-        let y = a.spmm(&[1.0, -2.0, 3.0], 1);
-        assert_eq!(y, vec![-3.0, 9.0, 0.0, 11.5]);
     }
 
     // Thread-count determinism is exercised in `tests/sparse_backend.rs`,

@@ -28,7 +28,7 @@
 
 use std::sync::Arc;
 
-use msopds_autograd::{sparse, SparseMatrixF32, SparseOperand, Tape, Var};
+use msopds_autograd::{sparse, SparseOperand, Tape, Var};
 use msopds_het_graph::CsrGraph;
 use serde::{Deserialize, Serialize};
 
@@ -200,52 +200,6 @@ impl GraphOps {
     pub fn attention_mask<'t>(&self, tape: &'t Tape, g: &CsrGraph) -> Var<'t> {
         tape.constant(dense_adjacency(g))
     }
-
-    /// An `f32` aggregation operator for the opt-in fast path: the CSR
-    /// adjacency of `g` with values downcast to single precision, applied by
-    /// the fused lane kernel of [`SparseMatrixF32`].
-    ///
-    /// This is a *precision* choice, not a representation choice, so it is
-    /// available under every backend (the dense backend's adjacency is the
-    /// same matrix, just materialized). It lives outside the tape — no
-    /// gradients, no poisoned deltas — and is meant for inference-style
-    /// sweeps (serving-adjacent scoring, candidate screening) where a
-    /// documented ≤1e-4-relative deviation from the exact `f64` aggregation
-    /// is acceptable. The planner's exact path never routes through it.
-    pub fn fast_adjacency(&self, g: &CsrGraph) -> FastAdjacency {
-        FastAdjacency { n: g.num_nodes(), matrix: sparse_adjacency(g).matrix().to_f32() }
-    }
-}
-
-/// An `f32` CSR adjacency for tolerance-bounded aggregation
-/// ([`GraphOps::fast_adjacency`]).
-#[derive(Clone, Debug)]
-pub struct FastAdjacency {
-    n: usize,
-    matrix: SparseMatrixF32,
-}
-
-impl FastAdjacency {
-    /// Node count of the underlying graph.
-    pub fn num_nodes(&self) -> usize {
-        self.n
-    }
-
-    /// Stored entries (directed; two per undirected edge).
-    pub fn nnz(&self) -> usize {
-        self.matrix.nnz()
-    }
-
-    /// The aggregation `A·H` over row-major `h` with `d` feature columns,
-    /// returning a row-major `[n, d]` buffer. Accumulation follows CSR entry
-    /// order per row — the same association order as the exact backend, in
-    /// `f32`.
-    ///
-    /// # Panics
-    /// Panics when `h.len()` is not `num_nodes()·d`.
-    pub fn apply(&self, h: &[f32], d: usize) -> Vec<f32> {
-        self.matrix.spmm(h, d)
-    }
 }
 
 /// A (possibly X̂-poisoned) adjacency operator tied to a tape.
@@ -405,27 +359,6 @@ mod tests {
         }
         for (x, y) in sparse_grad.data().iter().zip(sharded_grad.data()) {
             assert_eq!(x.to_bits(), y.to_bits());
-        }
-    }
-
-    #[test]
-    fn fast_adjacency_tracks_exact_aggregation() {
-        let g = CsrGraph::from_edges(6, &[(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (0, 5), (1, 4)]);
-        let d = 3;
-        let h0 = Tensor::from_vec((0..18).map(|i| (i as f64 * 0.61).sin()).collect(), &[6, d]);
-        let tape = Tape::new();
-        let h = tape.constant(h0.clone());
-        for backend in [Backend::Dense, Backend::Sparse, Backend::Sharded(2)] {
-            let ops = GraphOps::new(backend);
-            let exact = ops.adjacency(&tape, &g).matmul(h).value();
-            let fast = ops.fast_adjacency(&g);
-            assert_eq!(fast.num_nodes(), 6);
-            assert_eq!(fast.nnz(), 14);
-            let h32: Vec<f32> = h0.data().iter().map(|&v| v as f32).collect();
-            let out = fast.apply(&h32, d);
-            for (i, (&f, &e)) in out.iter().zip(exact.data().iter()).enumerate() {
-                assert!((f as f64 - e).abs() < 1e-4, "[{i}] fast {f} vs exact {e}");
-            }
         }
     }
 

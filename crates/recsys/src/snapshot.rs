@@ -6,13 +6,14 @@
 //! was fitted on) to detect when a snapshot no longer matches the data it
 //! claims to describe.
 //!
-//! Two format versions exist. Both are little-endian and hand-rolled (like
-//! the telemetry JSON sink) so the workspace stays dependency-free, and both
-//! share the same 64-byte fixed prefix:
+//! The format (version 2) is little-endian and hand-rolled (like the
+//! telemetry JSON sink) so the workspace stays dependency-free. It separates
+//! *header* from *payloads* so a million-user model can be memory-mapped with
+//! zero deserialization copy:
 //!
 //! ```text
 //! magic            8 B   b"MSOSNAP\0"
-//! format version   u32   1 or 2
+//! format version   u32   2
 //! model kind       u8    0 = HetRec, 1 = MatrixFactorization
 //! backend tag      u8    0 = dense, 1 = sparse, 2 = sharded
 //! reserved         u16   shard count when backend tag = 2, else 0
@@ -22,20 +23,6 @@
 //! n_users          u64
 //! n_items          u64
 //! mu               f64   global-mean rating anchor
-//! ```
-//!
-//! **Version 1** (read-compat only) follows the prefix with config JSON
-//! (u32 length), a tensor count, then inline per-tensor records (name, rank,
-//! rows, cols, `f64` data) and a trailing FNV-1a checksum over every
-//! preceding byte. Loading it requires reading — and copying — the whole
-//! file.
-//!
-//! **Version 2** (what [`Snapshot::to_bytes`] writes) separates *header*
-//! from *payloads* so a million-user model can be memory-mapped with zero
-//! deserialization copy:
-//!
-//! ```text
-//! prefix           64 B  as above, version = 2
 //! config len       u32   followed by that many bytes of config JSON
 //! tensor count     u32
 //! per tensor (directory entry):
@@ -51,7 +38,7 @@
 //! ```
 //!
 //! Because every payload section's checksum covers its *leading padding*
-//! too, every byte of a v2 file is covered by exactly one checksum (the
+//! too, every byte of a file is covered by exactly one checksum (the
 //! header's or one section's): any flipped byte is detected. The header is
 //! self-validating without touching payloads, which is what makes
 //! [`MappedSnapshot::open`] O(header) — load time is flat in model size.
@@ -63,15 +50,22 @@
 //! tensors round-trip bit-exactly, which is what makes served top-K lists
 //! bit-identical to in-process predictions.
 //!
-//! Parsing never panics: malformed input — bad magic, unknown version,
-//! truncation, checksum mismatch, inconsistent shapes, misaligned sections —
-//! comes back as a typed [`SnapshotError`]. All read paths funnel through
-//! [`Snapshot::open`] on a [`SnapshotSource`]; `load`/`from_bytes` are thin
-//! wrappers. [`Snapshot::peek`] reads only the 64-byte prefix, so
-//! fingerprint checks need not touch the rest of the file.
+//! Parsing never panics: malformed input — bad magic, any version other
+//! than 2, truncation, checksum mismatch, inconsistent shapes, misaligned
+//! sections — comes back as a typed [`SnapshotError`]. Snapshots are derived
+//! artifacts, so an older format is refused with
+//! [`SnapshotError::UnsupportedVersion`] rather than read: regenerate it
+//! with `repro snapshot`. All read paths funnel through [`Snapshot::open`]
+//! on a [`SnapshotSource`]; `load`/`from_bytes` are thin wrappers.
+//! [`Snapshot::peek`] reads only the 64-byte prefix, so fingerprint checks
+//! need not touch the rest of the file.
+//!
+//! Every writer — [`Snapshot::to_bytes`], [`Snapshot::save`] and the
+//! streaming [`SnapshotWriter`] — emits sections through one code path, so
+//! the three produce byte-identical files.
 
 use std::fmt;
-use std::io::{Read as _, Seek as _, SeekFrom, Write as _};
+use std::io::{Cursor, Read as _, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 
 use msopds_autograd::Tensor;
@@ -82,13 +76,13 @@ use crate::graphops::Backend;
 /// The 8-byte file magic.
 pub const MAGIC: [u8; 8] = *b"MSOSNAP\0";
 
-/// The snapshot format version this build writes. Versions 1 and 2 are read.
+/// The snapshot format version this build reads and writes (the only one).
 pub const FORMAT_VERSION: u32 = 2;
 
-/// Alignment of every v2 tensor payload (and of cache lines).
+/// Alignment of every tensor payload (and of cache lines).
 pub const SECTION_ALIGN: usize = 64;
 
-/// Length of the fixed prefix shared by both format versions.
+/// Length of the fixed prefix.
 const PREFIX_LEN: usize = 64;
 
 /// Which model family a snapshot holds.
@@ -168,9 +162,8 @@ pub enum SnapshotSource {
     Owned(Vec<u8>),
     /// Read the whole file into the heap, then parse.
     File(PathBuf),
-    /// Memory-map the file; v2 tensor payloads are consumed in place with
-    /// zero deserialization copy. v1 files silently fall back to the heap
-    /// path (their payloads are unaligned and inline).
+    /// Memory-map the file; tensor payloads are consumed in place with
+    /// zero deserialization copy.
     Mmap(PathBuf),
 }
 
@@ -219,11 +212,12 @@ pub enum SnapshotError {
         /// The 8 bytes actually found (zero-padded if the file is shorter).
         found: [u8; 8],
     },
-    /// The format version is newer than this build understands.
+    /// The format version is not the one this build reads — an older
+    /// artifact (regenerate it with `repro snapshot`) or a newer build's.
     UnsupportedVersion {
         /// Version stored in the file.
         found: u32,
-        /// Highest version this build reads.
+        /// The only version this build reads ([`FORMAT_VERSION`]).
         supported: u32,
     },
     /// The file ended before a field could be read.
@@ -241,7 +235,7 @@ pub enum SnapshotError {
         /// Human-readable description.
         context: String,
     },
-    /// A stored FNV-1a checksum (v1 trailer, v2 header or payload section)
+    /// A stored FNV-1a checksum (header or payload section)
     /// does not match the content.
     ChecksumMismatch {
         /// Checksum stored in the file.
@@ -266,7 +260,8 @@ impl fmt::Display for SnapshotError {
             SnapshotError::UnsupportedVersion { found, supported } => {
                 write!(
                     f,
-                    "snapshot format version {found} unsupported (this build reads ≤ {supported})"
+                    "snapshot format version {found} unsupported (this build reads only \
+                     version {supported}); regenerate the snapshot with `repro snapshot`"
                 )
             }
             SnapshotError::Truncated { context, needed, have } => {
@@ -351,6 +346,15 @@ fn decode_backend(tag: u8, reserved: u16) -> Result<Backend, SnapshotError> {
     }
 }
 
+/// The `Tensor` shape of a stored `(rank, rows, cols)` triple.
+fn shape_of(rank: u8, rows: usize, cols: usize) -> Vec<usize> {
+    match rank {
+        0 => vec![],
+        1 => vec![rows],
+        _ => vec![rows, cols],
+    }
+}
+
 fn shape_ok(rank: u8, rows: usize, cols: usize) -> bool {
     rank <= 2 && !(rank == 0 && (rows != 1 || cols != 1)) && !(rank == 1 && cols != 1)
 }
@@ -395,7 +399,7 @@ impl TensorDecl {
     }
 }
 
-/// One parsed v2 directory entry.
+/// One parsed directory entry.
 #[derive(Clone, Debug)]
 struct DirEntry {
     name: String,
@@ -420,18 +424,14 @@ impl DirEntry {
     }
 
     fn shape(&self) -> Vec<usize> {
-        match self.rank {
-            0 => vec![],
-            1 => vec![self.rows],
-            _ => vec![self.rows, self.cols],
-        }
+        shape_of(self.rank, self.rows, self.cols)
     }
 }
 
-/// Appends the shared 64-byte prefix.
-fn write_prefix(out: &mut Vec<u8>, version: u32, header: &SnapshotHeader) {
+/// Appends the 64-byte prefix.
+fn write_prefix(out: &mut Vec<u8>, header: &SnapshotHeader) {
     out.extend_from_slice(&MAGIC);
-    out.extend_from_slice(&version.to_le_bytes());
+    out.extend_from_slice(&FORMAT_VERSION.to_le_bytes());
     out.push(header.kind.tag());
     let (tag, reserved) = encode_backend(header.backend);
     out.push(tag);
@@ -469,7 +469,7 @@ fn read_header_fields(r: &mut Reader<'_>) -> Result<SnapshotHeader, SnapshotErro
     })
 }
 
-/// v2 header-region length for the given config / declarations.
+/// Header-region length for the given config / declarations.
 fn header_region_len(config_len: usize, decls: &[TensorDecl]) -> usize {
     PREFIX_LEN
         + 4
@@ -491,7 +491,7 @@ fn payload_offsets(header_len: usize, decls: &[TensorDecl]) -> (Vec<usize>, usiz
     (offsets, if decls.is_empty() { header_len } else { end })
 }
 
-/// The complete v2 header region: prefix, config, directory, checksum.
+/// The complete header region: prefix, config, directory, checksum.
 fn build_header_region(
     header: &SnapshotHeader,
     config_json: &str,
@@ -500,7 +500,7 @@ fn build_header_region(
     checksums: &[u64],
 ) -> Vec<u8> {
     let mut out = Vec::with_capacity(header_region_len(config_json.len(), decls));
-    write_prefix(&mut out, 2, header);
+    write_prefix(&mut out, header);
     out.extend_from_slice(&(config_json.len() as u32).to_le_bytes());
     out.extend_from_slice(config_json.as_bytes());
     out.extend_from_slice(&(decls.len() as u32).to_le_bytes());
@@ -542,90 +542,56 @@ impl Snapshot {
         self.header.matches_dataset(data)
     }
 
-    /// Serializes the snapshot into the current (version 2) byte stream.
+    /// The declarations of this snapshot's tensors, in write order.
+    fn decls(&self) -> Vec<TensorDecl> {
+        self.tensors.iter().map(|(n, t)| TensorDecl::of(n.clone(), t)).collect()
+    }
+
+    /// Serializes the snapshot into its byte stream — the same bytes
+    /// [`Snapshot::save`] and [`SnapshotWriter`] put on disk.
     pub fn to_bytes(&self) -> Vec<u8> {
-        let decls: Vec<TensorDecl> =
-            self.tensors.iter().map(|(n, t)| TensorDecl::of(n.clone(), t)).collect();
-        let header_len = header_region_len(self.config_json.len(), &decls);
-        let (offsets, total) = payload_offsets(header_len, &decls);
-        let mut out = vec![0u8; header_len];
-        out.reserve(total - header_len);
-        let mut checksums = Vec::with_capacity(decls.len());
-        let mut prev_end = header_len;
-        for ((_, t), &off) in self.tensors.iter().zip(&offsets) {
-            out.resize(off, 0);
-            out.extend_from_slice(&t.to_le_bytes());
-            checksums.push(fnv1a(&out[prev_end..]));
-            prev_end = out.len();
+        let sink = Cursor::new(Vec::new());
+        let mut w = SectionWriter::new(sink, self.header, &self.config_json, self.decls())
+            .expect("in-memory write");
+        for (_, t) in &self.tensors {
+            w.write(t.data()).expect("in-memory write");
         }
-        debug_assert_eq!(out.len(), total);
-        let region = build_header_region(&self.header, &self.config_json, &decls, &offsets, &checksums);
-        out[..header_len].copy_from_slice(&region);
-        out
+        w.finish().expect("every declared value was written").into_inner()
     }
 
-    /// Serializes into the legacy version-1 stream (inline payloads, single
-    /// trailing checksum). Kept for read-compat tests and tooling that must
-    /// produce files for older builds.
-    pub fn to_bytes_v1(&self) -> Vec<u8> {
-        let payload: usize =
-            self.tensors.iter().map(|(n, t)| 2 + n.len() + 1 + 16 + t.numel() * 8).sum::<usize>()
-                + PREFIX_LEN
-                + self.config_json.len();
-        let mut out = Vec::with_capacity(payload + 16);
-        write_prefix(&mut out, 1, &self.header);
-        out.extend_from_slice(&(self.config_json.len() as u32).to_le_bytes());
-        out.extend_from_slice(self.config_json.as_bytes());
-        out.extend_from_slice(&(self.tensors.len() as u32).to_le_bytes());
-        for (name, t) in &self.tensors {
-            out.extend_from_slice(&(name.len() as u16).to_le_bytes());
-            out.extend_from_slice(name.as_bytes());
-            out.push(t.rank());
-            out.extend_from_slice(&(t.rows() as u64).to_le_bytes());
-            out.extend_from_slice(&(t.cols() as u64).to_le_bytes());
-            out.extend_from_slice(&t.to_le_bytes());
-        }
-        let checksum = fnv1a(&out);
-        out.extend_from_slice(&checksum.to_le_bytes());
-        out
-    }
-
-    /// Parses a snapshot from bytes (version 1 or 2), validating magic,
-    /// version, structure and every checksum. Never panics on malformed
-    /// input. Equivalent to [`Snapshot::open`] on [`SnapshotSource::Owned`].
+    /// Parses a snapshot from bytes, validating magic, version, structure
+    /// and every checksum. Never panics on malformed input. Equivalent to
+    /// [`Snapshot::open`] on [`SnapshotSource::Owned`].
     pub fn from_bytes(bytes: &[u8]) -> Result<Self, SnapshotError> {
-        let mut r = Reader { bytes, pos: 0 };
-        let magic = r.take::<8>("magic")?;
-        if magic != MAGIC {
-            return Err(SnapshotError::BadMagic { found: magic });
+        let parsed = parse_header(bytes)?;
+        verify_sections(bytes, &parsed.entries)?;
+        let mut tensors = Vec::with_capacity(parsed.entries.len());
+        for e in &parsed.entries {
+            let t =
+                Tensor::from_le_bytes(&bytes[e.offset..e.end()], &e.shape()).ok_or_else(|| {
+                    SnapshotError::Corrupt {
+                        context: format!("tensor {:?} payload/shape mismatch", e.name),
+                    }
+                })?;
+            tensors.push((e.name.clone(), t));
         }
-        match u32::from_le_bytes(r.take::<4>("format version")?) {
-            1 => parse_v1(bytes),
-            2 => parse_v2_full(bytes),
-            found => {
-                Err(SnapshotError::UnsupportedVersion { found, supported: FORMAT_VERSION })
-            }
-        }
+        Ok(Snapshot { header: parsed.header, config_json: parsed.config_json, tensors })
     }
 
     /// The single full-parse entry point: every loader routes here.
     ///
-    /// `Owned`/`File` parse on the heap; `Mmap` maps v2 files, verifies
+    /// `Owned`/`File` parse on the heap; `Mmap` maps the file, verifies
     /// payloads, then materializes owned tensors (use [`MappedSnapshot`]
-    /// directly to keep the zero-copy view). A v1 file behind `Mmap` falls
-    /// back to the heap path.
+    /// directly to keep the zero-copy view).
     pub fn open(source: &SnapshotSource) -> Result<Self, SnapshotError> {
         match source {
             SnapshotSource::Owned(b) => Self::from_bytes(b),
             SnapshotSource::File(p) => Self::from_bytes(&std::fs::read(p)?),
-            SnapshotSource::Mmap(p) => match Self::peek_version(source)? {
-                2 => {
-                    let mapped = MappedSnapshot::open(p)?;
-                    mapped.verify_payloads()?;
-                    Ok(mapped.to_owned_snapshot())
-                }
-                _ => Self::from_bytes(&std::fs::read(p)?),
-            },
+            SnapshotSource::Mmap(p) => {
+                let mapped = MappedSnapshot::open(p)?;
+                mapped.verify_payloads()?;
+                Ok(mapped.to_owned_snapshot())
+            }
         }
     }
 
@@ -639,43 +605,18 @@ impl Snapshot {
     pub fn peek(source: &SnapshotSource) -> Result<SnapshotHeader, SnapshotError> {
         let mut buf = [0u8; PREFIX_LEN];
         let n = source.read_head(&mut buf)?;
-        let mut r = Reader { bytes: &buf[..n], pos: 0 };
-        let magic = r.take::<8>("magic")?;
-        if magic != MAGIC {
-            return Err(SnapshotError::BadMagic { found: magic });
-        }
-        let version = u32::from_le_bytes(r.take::<4>("format version")?);
-        if !(1..=FORMAT_VERSION).contains(&version) {
-            return Err(SnapshotError::UnsupportedVersion {
-                found: version,
-                supported: FORMAT_VERSION,
-            });
-        }
-        read_header_fields(&mut r)
+        read_prefix(&mut Reader { bytes: &buf[..n], pos: 0 })
     }
 
-    /// Reads only magic + version (12 bytes). Returns the raw stored version
-    /// without range-checking it, so callers can dispatch (e.g. mmap for 2,
-    /// heap for 1) and let the full parser reject unknown versions.
-    pub fn peek_version(source: &SnapshotSource) -> Result<u32, SnapshotError> {
-        let mut buf = [0u8; 12];
-        let n = source.read_head(&mut buf)?;
-        let mut r = Reader { bytes: &buf[..n], pos: 0 };
-        let magic = r.take::<8>("magic")?;
-        if magic != MAGIC {
-            return Err(SnapshotError::BadMagic { found: magic });
-        }
-        Ok(u32::from_le_bytes(r.take::<4>("format version")?))
-    }
-
-    /// Writes the snapshot to `path` (atomically: temp file + rename, so a
-    /// crash mid-write never leaves a half-snapshot behind).
+    /// Writes the snapshot to `path` through a [`SnapshotWriter`]: a temp
+    /// file that is synced to disk, then renamed into place, so a crash
+    /// mid-write never leaves a half-snapshot behind.
     pub fn save(&self, path: impl AsRef<Path>) -> Result<(), SnapshotError> {
-        let path = path.as_ref();
-        let tmp = path.with_extension("snap.tmp");
-        std::fs::write(&tmp, self.to_bytes())?;
-        std::fs::rename(&tmp, path)?;
-        Ok(())
+        let mut w = SnapshotWriter::create(path, self.header, &self.config_json, self.decls())?;
+        for (_, t) in &self.tensors {
+            w.write(t.data())?;
+        }
+        w.finish()
     }
 
     /// Reads and parses a snapshot from `path` — a thin wrapper over
@@ -685,105 +626,35 @@ impl Snapshot {
     }
 }
 
-/// The legacy version-1 parser: trailing checksum first, then inline tensors.
-fn parse_v1(bytes: &[u8]) -> Result<Snapshot, SnapshotError> {
-    let mut r = Reader { bytes, pos: 12 };
-    // The checksum guards everything after the (already validated) magic
-    // and version, so verify it before trusting any length field.
-    if bytes.len() < r.pos + 8 {
-        return Err(SnapshotError::Truncated {
-            context: "checksum trailer",
-            needed: 8,
-            have: bytes.len().saturating_sub(r.pos),
-        });
-    }
-    let body_end = bytes.len() - 8;
-    let stored = u64::from_le_bytes(bytes[body_end..].try_into().expect("8-byte trailer"));
-    let computed = fnv1a(&bytes[..body_end]);
-    if stored != computed {
-        return Err(SnapshotError::ChecksumMismatch { stored, computed });
-    }
-    r.bytes = &bytes[..body_end];
-
-    let header = read_header_fields(&mut r)?;
-    let config_len = u32::from_le_bytes(r.take::<4>("config length")?) as usize;
-    let config_bytes = r.slice(config_len, "config JSON")?;
-    let config_json = std::str::from_utf8(config_bytes)
-        .map_err(|_| SnapshotError::Corrupt { context: "config JSON is not UTF-8".into() })?
-        .to_string();
-
-    let count = u32::from_le_bytes(r.take::<4>("tensor count")?) as usize;
-    let mut tensors = Vec::with_capacity(count.min(64));
-    for i in 0..count {
-        let name_len = u16::from_le_bytes(r.take::<2>("tensor name length")?) as usize;
-        let name = std::str::from_utf8(r.slice(name_len, "tensor name")?)
-            .map_err(|_| SnapshotError::Corrupt {
-                context: format!("tensor {i} name is not UTF-8"),
-            })?
-            .to_string();
-        let rank = u8::from_le_bytes(r.take::<1>("tensor rank")?);
-        let rows = u64::from_le_bytes(r.take::<8>("tensor rows")?) as usize;
-        let cols = u64::from_le_bytes(r.take::<8>("tensor cols")?) as usize;
-        if !shape_ok(rank, rows, cols) {
-            return Err(SnapshotError::Corrupt {
-                context: format!(
-                    "tensor {name:?} has impossible shape rank={rank} [{rows}, {cols}]"
-                ),
-            });
-        }
-        let numel = rows.checked_mul(cols).ok_or_else(|| SnapshotError::Corrupt {
-            context: format!("tensor {name:?} shape overflows"),
-        })?;
-        let data = r.slice(numel * 8, "tensor data")?;
-        let shape: &[usize] = match rank {
-            0 => &[],
-            1 => &[rows],
-            _ => &[rows, cols],
-        };
-        let t = Tensor::from_le_bytes(data, shape).ok_or_else(|| SnapshotError::Corrupt {
-            context: format!("tensor {name:?} payload/shape mismatch"),
-        })?;
-        tensors.push((name, t));
-    }
-    if r.pos != r.bytes.len() {
-        return Err(SnapshotError::Corrupt {
-            context: format!("{} trailing bytes after the last tensor", r.bytes.len() - r.pos),
-        });
-    }
-    Ok(Snapshot { header, config_json, tensors })
-}
-
-/// Parsed v2 header region plus layout facts; payloads untouched.
-struct ParsedV2 {
+/// Parsed header region plus layout facts; payloads untouched.
+struct ParsedHeader {
     header: SnapshotHeader,
     config_json: String,
     entries: Vec<DirEntry>,
     total_len: usize,
 }
 
-/// Parses and validates the v2 header region (prefix, config, directory,
-/// header checksum) and checks the declared layout against `bytes.len()`
-/// — O(header), independent of payload size.
-fn parse_v2_header(bytes: &[u8]) -> Result<ParsedV2, SnapshotError> {
-    let mut r = Reader { bytes, pos: 0 };
+/// Reads and checks magic and version, then the rest of the 64-byte prefix.
+/// Any version other than [`FORMAT_VERSION`] is refused here, before a
+/// single field of an unknown layout is interpreted.
+fn read_prefix(r: &mut Reader<'_>) -> Result<SnapshotHeader, SnapshotError> {
     let magic = r.take::<8>("magic")?;
     if magic != MAGIC {
         return Err(SnapshotError::BadMagic { found: magic });
     }
-    match u32::from_le_bytes(r.take::<4>("format version")?) {
-        2 => {}
-        1 => {
-            return Err(SnapshotError::Corrupt {
-                context: "format version 1 payloads are inline and unaligned; \
-                          re-save as version 2 or load through the heap path"
-                    .into(),
-            })
-        }
-        found => {
-            return Err(SnapshotError::UnsupportedVersion { found, supported: FORMAT_VERSION })
-        }
+    let found = u32::from_le_bytes(r.take::<4>("format version")?);
+    if found != FORMAT_VERSION {
+        return Err(SnapshotError::UnsupportedVersion { found, supported: FORMAT_VERSION });
     }
-    let header = read_header_fields(&mut r)?;
+    read_header_fields(r)
+}
+
+/// Parses and validates the header region (prefix, config, directory,
+/// header checksum) and checks the declared layout against `bytes.len()`
+/// — O(header), independent of payload size.
+fn parse_header(bytes: &[u8]) -> Result<ParsedHeader, SnapshotError> {
+    let mut r = Reader { bytes, pos: 0 };
+    let header = read_prefix(&mut r)?;
     let config_len = u32::from_le_bytes(r.take::<4>("config length")?) as usize;
     let config_bytes = r.slice(config_len, "config JSON")?;
     let config_json = std::str::from_utf8(config_bytes)
@@ -859,26 +730,18 @@ fn parse_v2_header(bytes: &[u8]) -> Result<ParsedV2, SnapshotError> {
             context: format!("{} trailing bytes after the last payload", bytes.len() - total_len),
         });
     }
-    Ok(ParsedV2 { header, config_json, entries, total_len })
+    Ok(ParsedHeader { header, config_json, entries, total_len })
 }
 
-/// Full v2 parse: header region plus payload checksums and tensor copies.
-fn parse_v2_full(bytes: &[u8]) -> Result<Snapshot, SnapshotError> {
-    let parsed = parse_v2_header(bytes)?;
-    let mut tensors = Vec::with_capacity(parsed.entries.len());
-    for e in &parsed.entries {
+/// Checks every payload section's FNV-1a checksum, leading padding included.
+fn verify_sections(bytes: &[u8], entries: &[DirEntry]) -> Result<(), SnapshotError> {
+    for e in entries {
         let computed = fnv1a(&bytes[e.payload_start..e.end()]);
         if computed != e.checksum {
             return Err(SnapshotError::ChecksumMismatch { stored: e.checksum, computed });
         }
-        let t = Tensor::from_le_bytes(&bytes[e.offset..e.end()], &e.shape()).ok_or_else(|| {
-            SnapshotError::Corrupt {
-                context: format!("tensor {:?} payload/shape mismatch", e.name),
-            }
-        })?;
-        tensors.push((e.name.clone(), t));
     }
-    Ok(Snapshot { header: parsed.header, config_json: parsed.config_json, tensors })
+    Ok(())
 }
 
 /// A bounds-checked little-endian cursor; every read failure carries the field
@@ -1059,24 +922,18 @@ impl<'a> TensorView<'a> {
 
     /// An owned copy as a [`Tensor`] (bit-exact).
     pub fn to_tensor(&self) -> Tensor {
-        let shape: &[usize] = match self.rank {
-            0 => &[],
-            1 => &[self.rows],
-            _ => &[self.rows, self.cols],
-        };
-        Tensor::from_vec(self.data.to_vec(), shape)
+        Tensor::from_vec(self.data.to_vec(), &shape_of(self.rank, self.rows, self.cols))
     }
 }
 
-/// A version-2 snapshot consumed in place: the header region is parsed and
+/// A snapshot consumed in place: the header region is parsed and
 /// authenticated at [`MappedSnapshot::open`] time (O(header), flat in model
 /// size), while tensor payloads stay in the file mapping and are handed out
 /// as [`TensorView`]s without deserialization.
 ///
 /// Payloads are *not* checksummed at open time — call
 /// [`MappedSnapshot::verify_payloads`] when integrity matters more than
-/// latency. Requires a little-endian host (payloads are IEEE-754 `f64` LE);
-/// v1 files are refused — route them through [`Snapshot::open`].
+/// latency. Requires a little-endian host (payloads are IEEE-754 `f64` LE).
 pub struct MappedSnapshot {
     header: SnapshotHeader,
     config_json: String,
@@ -1085,7 +942,7 @@ pub struct MappedSnapshot {
 }
 
 impl MappedSnapshot {
-    /// Maps `path` and validates its header region (magic, version = 2,
+    /// Maps `path` and validates its header region (magic, version,
     /// directory shapes/offsets/alignment, header checksum, exact file
     /// length). Falls back to an aligned heap read when `mmap` is
     /// unavailable — the API contract is unchanged, only residency differs.
@@ -1098,7 +955,7 @@ impl MappedSnapshot {
         let file = std::fs::File::open(path)?;
         let len = file.metadata()?.len() as usize;
         let backing = Backing::map_or_read(&file, len)?;
-        let parsed = parse_v2_header(backing.bytes())?;
+        let parsed = parse_header(backing.bytes())?;
         debug_assert_eq!(parsed.total_len, len);
         Ok(Self {
             header: parsed.header,
@@ -1143,14 +1000,7 @@ impl MappedSnapshot {
     /// Verifies every payload section's FNV-1a checksum (padding included) —
     /// the full-integrity pass [`MappedSnapshot::open`] deliberately skips.
     pub fn verify_payloads(&self) -> Result<(), SnapshotError> {
-        let bytes = self.backing.bytes();
-        for e in &self.entries {
-            let computed = fnv1a(&bytes[e.payload_start..e.end()]);
-            if computed != e.checksum {
-                return Err(SnapshotError::ChecksumMismatch { stored: e.checksum, computed });
-            }
-        }
-        Ok(())
+        verify_sections(self.backing.bytes(), &self.entries)
     }
 
     /// Materializes an owned [`Snapshot`] (copies every payload).
@@ -1178,15 +1028,14 @@ impl MappedSnapshot {
     }
 }
 
-/// Streams a version-2 snapshot to disk without materializing any tensor:
-/// declare shapes up front, then [`SnapshotWriter::write`] values in
-/// declaration order (row-major, in as many calls as convenient — a
-/// million-user embedding goes out chunk by chunk). [`SnapshotWriter::finish`]
-/// back-patches the directory checksums and atomically renames into place.
-pub struct SnapshotWriter {
-    out: std::io::BufWriter<std::fs::File>,
-    tmp: PathBuf,
-    path: PathBuf,
+/// The one section encoder behind every writer: reserves the header region,
+/// streams payload sections (leading zero padding, then little-endian
+/// values) while checksumming each, and back-patches the header region at
+/// [`SectionWriter::finish`]. Generic over the sink, so
+/// [`Snapshot::to_bytes`] (an in-memory cursor) and [`SnapshotWriter`] (a
+/// buffered file) emit the same bytes by construction.
+struct SectionWriter<W: Write + Seek> {
+    out: W,
     header: SnapshotHeader,
     config_json: String,
     decls: Vec<TensorDecl>,
@@ -1200,36 +1049,20 @@ pub struct SnapshotWriter {
     buf: Vec<u8>,
 }
 
-impl SnapshotWriter {
-    /// Starts a snapshot at `path` (via a `.snap.tmp` sibling). The header
-    /// region is reserved with placeholder checksums and rewritten at
-    /// [`SnapshotWriter::finish`] time.
-    pub fn create(
-        path: impl AsRef<Path>,
+impl<W: Write + Seek> SectionWriter<W> {
+    /// Starts a snapshot on `out` (positioned at 0) with a zeroed
+    /// placeholder header region. `decls` must already be shape-checked.
+    fn new(
+        mut out: W,
         header: SnapshotHeader,
         config_json: &str,
         decls: Vec<TensorDecl>,
     ) -> Result<Self, SnapshotError> {
-        for d in &decls {
-            if !shape_ok(d.rank, d.rows, d.cols) {
-                return Err(SnapshotError::Corrupt {
-                    context: format!(
-                        "declared tensor {:?} has impossible shape rank={} [{}, {}]",
-                        d.name, d.rank, d.rows, d.cols
-                    ),
-                });
-            }
-        }
-        let path = path.as_ref().to_path_buf();
-        let tmp = path.with_extension("snap.tmp");
         let header_len = header_region_len(config_json.len(), &decls);
         let (offsets, _total) = payload_offsets(header_len, &decls);
-        let mut out = std::io::BufWriter::new(std::fs::File::create(&tmp)?);
         out.write_all(&vec![0u8; header_len])?;
         Ok(Self {
             out,
-            tmp,
-            path,
             header,
             config_json: config_json.to_string(),
             decls,
@@ -1273,10 +1106,8 @@ impl SnapshotWriter {
         self.open = false;
     }
 
-    /// Appends `vals` to the payload stream, crossing tensor boundaries in
-    /// declaration order. Fails with [`SnapshotError::Corrupt`] when more
-    /// values arrive than were declared.
-    pub fn write(&mut self, mut vals: &[f64]) -> Result<(), SnapshotError> {
+    /// See [`SnapshotWriter::write`].
+    fn write(&mut self, mut vals: &[f64]) -> Result<(), SnapshotError> {
         while !vals.is_empty() {
             if !self.ensure_open()? {
                 return Err(SnapshotError::Corrupt {
@@ -1302,16 +1133,9 @@ impl SnapshotWriter {
         Ok(())
     }
 
-    /// Convenience: streams a whole tensor (must align with the declaration
-    /// boundary, i.e. the previous tensor is complete).
-    pub fn write_tensor(&mut self, t: &Tensor) -> Result<(), SnapshotError> {
-        self.write(t.data())
-    }
-
-    /// Seals the file: verifies every declared tensor was fully written,
-    /// rewrites the header region with the real checksums, and renames the
-    /// temp file over `path`.
-    pub fn finish(mut self) -> Result<(), SnapshotError> {
+    /// Verifies every declared tensor was fully written, rewrites the header
+    /// region with the real checksums, and hands the sink back.
+    fn finish(mut self) -> Result<W, SnapshotError> {
         if self.ensure_open()? {
             return Err(SnapshotError::Corrupt {
                 context: format!(
@@ -1328,16 +1152,72 @@ impl SnapshotWriter {
             &self.offsets,
             &self.checksums,
         );
-        self.out.flush()?;
-        let mut file = self
-            .out
-            .into_inner()
-            .map_err(|e| SnapshotError::Io(std::io::Error::other(e.to_string())))?;
-        file.seek(SeekFrom::Start(0))?;
-        file.write_all(&region)?;
+        self.out.seek(SeekFrom::Start(0))?;
+        self.out.write_all(&region)?;
+        Ok(self.out)
+    }
+}
+
+/// Streams a snapshot to disk without materializing any tensor: declare
+/// shapes up front, then [`SnapshotWriter::write`] values in declaration
+/// order (row-major, in as many calls as convenient — a million-user
+/// embedding goes out chunk by chunk). [`SnapshotWriter::finish`]
+/// back-patches the directory checksums, syncs the file and atomically
+/// renames it into place.
+pub struct SnapshotWriter {
+    sections: SectionWriter<std::io::BufWriter<std::fs::File>>,
+    tmp: PathBuf,
+    path: PathBuf,
+}
+
+impl SnapshotWriter {
+    /// Starts a snapshot at `path` (via a `.snap.tmp` sibling). The header
+    /// region is reserved with placeholder checksums and rewritten at
+    /// [`SnapshotWriter::finish`] time.
+    pub fn create(
+        path: impl AsRef<Path>,
+        header: SnapshotHeader,
+        config_json: &str,
+        decls: Vec<TensorDecl>,
+    ) -> Result<Self, SnapshotError> {
+        for d in &decls {
+            if !shape_ok(d.rank, d.rows, d.cols) {
+                return Err(SnapshotError::Corrupt {
+                    context: format!(
+                        "declared tensor {:?} has impossible shape rank={} [{}, {}]",
+                        d.name, d.rank, d.rows, d.cols
+                    ),
+                });
+            }
+        }
+        let path = path.as_ref().to_path_buf();
+        let tmp = path.with_extension("snap.tmp");
+        let out = std::io::BufWriter::new(std::fs::File::create(&tmp)?);
+        let sections = SectionWriter::new(out, header, config_json, decls)?;
+        Ok(Self { sections, tmp, path })
+    }
+
+    /// Appends `vals` to the payload stream, crossing tensor boundaries in
+    /// declaration order. Fails with [`SnapshotError::Corrupt`] when more
+    /// values arrive than were declared.
+    pub fn write(&mut self, vals: &[f64]) -> Result<(), SnapshotError> {
+        self.sections.write(vals)
+    }
+
+    /// Seals the file: verifies every declared tensor was fully written,
+    /// rewrites the header region with the real checksums, syncs the temp
+    /// file to disk, renames it over `path`, and syncs the directory.
+    pub fn finish(self) -> Result<(), SnapshotError> {
+        let file = self.sections.finish()?.into_inner().map_err(|e| e.into_error())?;
         file.sync_all()?;
         drop(file);
         std::fs::rename(&self.tmp, &self.path)?;
+        // The rename is durable only once the directory entry is.
+        #[cfg(unix)]
+        {
+            let dir = self.path.parent().filter(|d| !d.as_os_str().is_empty());
+            std::fs::File::open(dir.unwrap_or(Path::new(".")))?.sync_all()?;
+        }
         Ok(())
     }
 }
@@ -1389,12 +1269,13 @@ mod tests {
         assert_same(&snap, &Snapshot::from_bytes(&bytes).unwrap());
     }
 
+    /// The format is frozen: the bytes of the reference snapshot may not
+    /// move, whichever writer emits them.
     #[test]
-    fn v1_byte_round_trip_still_loads() {
-        let snap = tiny_snapshot();
-        let bytes = snap.to_bytes_v1();
-        assert_eq!(u32::from_le_bytes(bytes[8..12].try_into().unwrap()), 1);
-        assert_same(&snap, &Snapshot::from_bytes(&bytes).unwrap());
+    fn to_bytes_is_pinned() {
+        let bytes = tiny_snapshot().to_bytes();
+        assert_eq!(bytes.len(), 392);
+        assert_eq!(fnv1a(&bytes), 0xaf45_1779_2314_94f7);
     }
 
     #[test]
@@ -1402,6 +1283,7 @@ mod tests {
         let snap = tiny_snapshot();
         let path = temp_path("file");
         snap.save(&path).unwrap();
+        assert_eq!(std::fs::read(&path).unwrap(), snap.to_bytes(), "save differs from to_bytes");
         let back = Snapshot::load(&path).unwrap();
         std::fs::remove_file(&path).ok();
         assert_eq!(back.header, snap.header);
@@ -1423,28 +1305,11 @@ mod tests {
     }
 
     #[test]
-    fn open_mmap_falls_back_for_v1_files() {
-        let snap = tiny_snapshot();
-        let path = temp_path("v1-compat");
-        std::fs::write(&path, snap.to_bytes_v1()).unwrap();
-        assert!(matches!(MappedSnapshot::open(&path), Err(SnapshotError::Corrupt { .. })));
-        let back = Snapshot::open(&SnapshotSource::mmap(&path)).unwrap();
-        std::fs::remove_file(&path).ok();
-        assert_same(&snap, &back);
-    }
-
-    #[test]
     fn peek_reads_header_without_payloads() {
         let snap = tiny_snapshot();
-        for bytes in [snap.to_bytes(), snap.to_bytes_v1()] {
-            // The prefix alone is enough — hand peek a 64-byte stub.
-            let stub = SnapshotSource::Owned(bytes[..64].to_vec());
-            assert_eq!(Snapshot::peek(&stub).unwrap(), snap.header);
-        }
-        assert_eq!(
-            Snapshot::peek_version(&SnapshotSource::Owned(snap.to_bytes())).unwrap(),
-            2
-        );
+        // The prefix alone is enough — hand peek a 64-byte stub.
+        let stub = SnapshotSource::Owned(snap.to_bytes()[..64].to_vec());
+        assert_eq!(Snapshot::peek(&stub).unwrap(), snap.header);
         let mut short = snap.to_bytes();
         short.truncate(40);
         assert!(matches!(
@@ -1454,13 +1319,11 @@ mod tests {
     }
 
     #[test]
-    fn sharded_backend_round_trips_in_both_formats() {
+    fn sharded_backend_round_trips() {
         let mut snap = tiny_snapshot();
         snap.header.backend = Backend::Sharded(6);
-        for bytes in [snap.to_bytes(), snap.to_bytes_v1()] {
-            let back = Snapshot::from_bytes(&bytes).unwrap();
-            assert_eq!(back.header.backend, Backend::Sharded(6));
-        }
+        let back = Snapshot::from_bytes(&snap.to_bytes()).unwrap();
+        assert_eq!(back.header.backend, Backend::Sharded(6));
         assert_eq!(
             Snapshot::peek(&SnapshotSource::Owned(snap.to_bytes())).unwrap().backend,
             Backend::Sharded(6)
@@ -1486,19 +1349,18 @@ mod tests {
 
     #[test]
     fn truncation_is_typed_at_every_length() {
-        for bytes in [tiny_snapshot().to_bytes(), tiny_snapshot().to_bytes_v1()] {
-            for cut in 0..bytes.len() {
-                let err = Snapshot::from_bytes(&bytes[..cut]).unwrap_err();
-                assert!(
-                    matches!(
-                        err,
-                        SnapshotError::Truncated { .. }
-                            | SnapshotError::BadMagic { .. }
-                            | SnapshotError::ChecksumMismatch { .. }
-                    ),
-                    "cut at {cut} gave unexpected error {err}"
-                );
-            }
+        let bytes = tiny_snapshot().to_bytes();
+        for cut in 0..bytes.len() {
+            let err = Snapshot::from_bytes(&bytes[..cut]).unwrap_err();
+            assert!(
+                matches!(
+                    err,
+                    SnapshotError::Truncated { .. }
+                        | SnapshotError::BadMagic { .. }
+                        | SnapshotError::ChecksumMismatch { .. }
+                ),
+                "cut at {cut} gave unexpected error {err}"
+            );
         }
     }
 
@@ -1507,14 +1369,8 @@ mod tests {
         let reference = tiny_snapshot().to_bytes();
         // Past the header region every byte (padding included) is covered by
         // exactly one payload-section checksum.
-        let first_payload = align_up(header_region_len(
-            tiny_snapshot().config_json.len(),
-            &tiny_snapshot()
-                .tensors
-                .iter()
-                .map(|(n, t)| TensorDecl::of(n.clone(), t))
-                .collect::<Vec<_>>(),
-        ));
+        let snap = tiny_snapshot();
+        let first_payload = align_up(header_region_len(snap.config_json.len(), &snap.decls()));
         for pos in 0..reference.len() {
             let mut bytes = reference.clone();
             bytes[pos] ^= 0x40;
@@ -1541,9 +1397,7 @@ mod tests {
         let stored = u64::from_le_bytes(bytes[field..field + 8].try_into().unwrap());
         bytes[field..field + 8].copy_from_slice(&(stored + 8).to_le_bytes());
         // Re-authenticate the header so only the alignment rule can object.
-        let decls: Vec<TensorDecl> =
-            snap.tensors.iter().map(|(n, t)| TensorDecl::of(n.clone(), t)).collect();
-        let header_len = header_region_len(snap.config_json.len(), &decls);
+        let header_len = header_region_len(snap.config_json.len(), &snap.decls());
         let ck = fnv1a(&bytes[..header_len - 8]);
         bytes[header_len - 8..header_len].copy_from_slice(&ck.to_le_bytes());
         let err = Snapshot::from_bytes(&bytes).unwrap_err();
@@ -1598,10 +1452,8 @@ mod tests {
     fn writer_streams_byte_identical_files() {
         let snap = tiny_snapshot();
         let path = temp_path("writer");
-        let decls: Vec<TensorDecl> =
-            snap.tensors.iter().map(|(n, t)| TensorDecl::of(n.clone(), t)).collect();
         let mut w =
-            SnapshotWriter::create(&path, snap.header, &snap.config_json, decls).unwrap();
+            SnapshotWriter::create(&path, snap.header, &snap.config_json, snap.decls()).unwrap();
         // Deliberately ragged writes: cross tensor boundaries mid-call.
         let all: Vec<f64> =
             snap.tensors.iter().flat_map(|(_, t)| t.data().iter().copied()).collect();
@@ -1618,8 +1470,7 @@ mod tests {
     fn writer_rejects_wrong_cardinality() {
         let snap = tiny_snapshot();
         let path = temp_path("writer-err");
-        let decls: Vec<TensorDecl> =
-            snap.tensors.iter().map(|(n, t)| TensorDecl::of(n.clone(), t)).collect();
+        let decls = snap.decls();
         let mut w =
             SnapshotWriter::create(&path, snap.header, &snap.config_json, decls.clone()).unwrap();
         w.write(&[0.0; 4]).unwrap();

@@ -320,6 +320,20 @@ struct Inner {
     latencies_us: Mutex<Vec<u64>>,
 }
 
+impl Inner {
+    /// Sets one of the dispatcher's control flags (`shutdown`, `paused`)
+    /// and wakes it. The store happens under the queue lock: the dispatcher
+    /// reads its flags and enters `wait` while holding that lock, so a flag
+    /// change can never land between its check and its sleep — the wake-up
+    /// that follows is never lost.
+    fn set_flag(&self, flag: &AtomicBool, on: bool) {
+        let q = lock_clean(&self.queue);
+        flag.store(on, Ordering::Release);
+        drop(q);
+        self.cv.notify_one();
+    }
+}
+
 /// The async serving front end; see the module docs. Construction spawns
 /// the dispatcher thread; [`AsyncServer::shutdown`] (or drop) drains the
 /// queue and joins it.
@@ -482,13 +496,12 @@ impl AsyncServer {
     /// the admission tests to pin exact rejection counts, and usable to
     /// stage a swap + warm-up before taking traffic.
     pub fn pause(&self) {
-        self.inner.paused.store(true, Ordering::Release);
+        self.inner.set_flag(&self.inner.paused, true);
     }
 
     /// Releases a [`AsyncServer::pause`]d dispatcher.
     pub fn resume(&self) {
-        self.inner.paused.store(false, Ordering::Release);
-        self.inner.cv.notify_one();
+        self.inner.set_flag(&self.inner.paused, false);
     }
 
     /// A detachable pause/resume control, usable after the server itself has
@@ -531,8 +544,7 @@ impl AsyncServer {
 
     fn join_dispatcher(&mut self) {
         if let Some(handle) = self.dispatcher.take() {
-            self.inner.shutdown.store(true, Ordering::Release);
-            self.inner.cv.notify_one();
+            self.inner.set_flag(&self.inner.shutdown, true);
             let _ = handle.join();
             // Submit/shutdown race sweep: an offer can land between the
             // dispatcher's last empty take() and its exit. Fail any such
@@ -567,13 +579,12 @@ pub struct PauseHandle {
 impl PauseHandle {
     /// [`AsyncServer::pause`] through the handle.
     pub fn pause(&self) {
-        self.inner.paused.store(true, Ordering::Release);
+        self.inner.set_flag(&self.inner.paused, true);
     }
 
     /// [`AsyncServer::resume`] through the handle.
     pub fn resume(&self) {
-        self.inner.paused.store(false, Ordering::Release);
-        self.inner.cv.notify_one();
+        self.inner.set_flag(&self.inner.paused, false);
     }
 }
 

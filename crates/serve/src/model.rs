@@ -371,7 +371,7 @@ impl ServingModel {
         })
     }
 
-    /// Builds a serving model over a mapped v2 snapshot without copying any
+    /// Builds a serving model over a mapped snapshot without copying any
     /// payload except the derived `item_t` transpose and the lazily-built
     /// f32 tables: embeddings and biases are served straight out of the map.
     ///
@@ -416,13 +416,11 @@ impl ServingModel {
     }
 
     /// The single loading entry point: heap-parses `Owned`/`File` sources,
-    /// memory-maps v2 files behind [`SnapshotSource::Mmap`] (v1 files fall
-    /// back to the heap path), and serves bit-identical scores either way.
+    /// memory-maps files behind [`SnapshotSource::Mmap`], and serves
+    /// bit-identical scores either way.
     pub fn open(source: &SnapshotSource) -> Result<Self, SnapshotError> {
         match source {
-            SnapshotSource::Mmap(path) if Snapshot::peek_version(source)? == 2 => {
-                Self::from_mapped(Arc::new(MappedSnapshot::open(path)?))
-            }
+            SnapshotSource::Mmap(path) => Self::from_mapped(Arc::new(MappedSnapshot::open(path)?)),
             _ => Self::from_snapshot(&Snapshot::open(source)?),
         }
     }

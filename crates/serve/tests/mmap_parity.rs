@@ -107,16 +107,30 @@ fn mmap_and_heap_models_serve_bit_identical_top_k() {
     }
 }
 
+/// Snapshots are derived artifacts and version 2 is the only format: a
+/// file stamped with any older version is refused with the same typed
+/// error by every read path, full parse and header peek alike.
 #[test]
-fn v1_files_load_through_the_mmap_source() {
-    let snap = model_snapshot(ModelKind::Mf, Backend::Sparse, 9, 13, 4);
+fn v1_files_are_refused_on_every_read_path() {
+    let mut bytes = model_snapshot(ModelKind::Mf, Backend::Sparse, 9, 13, 4).to_bytes();
+    bytes[8..12].copy_from_slice(&1u32.to_le_bytes());
     let path = temp_path("v1", 0);
-    std::fs::write(&path, snap.to_bytes_v1()).unwrap();
-    let heap = ServingModel::open(&SnapshotSource::file(&path)).unwrap();
-    let compat = ServingModel::open(&SnapshotSource::mmap(&path)).unwrap();
-    assert!(!compat.is_zero_copy(), "v1 must fall back to the heap path");
-    let users: Vec<usize> = (0..9).collect();
-    assert_eq!(heap.top_k_batch(&users, 5), compat.top_k_batch(&users, 5));
+    std::fs::write(&path, &bytes).unwrap();
+    let is_v1 = |e: SnapshotError| matches!(e, SnapshotError::UnsupportedVersion { found: 1, .. });
+    let sources = [
+        SnapshotSource::Owned(bytes.clone()),
+        SnapshotSource::file(&path),
+        SnapshotSource::mmap(&path),
+    ];
+    assert!(is_v1(Snapshot::from_bytes(&bytes).unwrap_err()));
+    for source in &sources {
+        assert!(is_v1(Snapshot::open(source).unwrap_err()), "Snapshot::open({source:?})");
+        assert!(is_v1(Snapshot::peek(source).unwrap_err()), "Snapshot::peek({source:?})");
+        assert!(is_v1(ServingModel::open(source).unwrap_err()), "ServingModel::open({source:?})");
+    }
+    assert!(is_v1(MappedSnapshot::open(&path).map(|_| ()).unwrap_err()));
+    let message = Snapshot::from_bytes(&bytes).unwrap_err().to_string();
+    assert!(message.contains("repro snapshot"), "{message}");
     std::fs::remove_file(&path).ok();
 }
 

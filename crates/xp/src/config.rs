@@ -193,7 +193,8 @@ pub struct RuntimeConfig {
     pub precision: ScorePrecision,
     /// Async-serving coalescing deadline in microseconds (`--deadline-us` /
     /// `MSOPDS_DEADLINE_US`): how long a submitted query may wait for
-    /// co-batched company. Only the `serve-async` front end consumes this.
+    /// co-batched company. Only the `serve` binary's `load` and `listen`
+    /// modes consume this.
     pub deadline_us: u64,
     /// Async-serving max coalesced batch (`--max-batch` /
     /// `MSOPDS_MAX_BATCH`): the queue flushes as soon as this many queries
@@ -203,11 +204,6 @@ pub struct RuntimeConfig {
     /// offers beyond this many pending queries are shed with a typed
     /// `Overloaded` rejection instead of queueing into unbounded latency.
     pub queue_cap: usize,
-    /// TCP address the `serve-net` binary listens on (`--listen`), e.g.
-    /// `127.0.0.1:7878`. Mutually exclusive with [`RuntimeConfig::connect`].
-    pub listen: Option<String>,
-    /// TCP address the `serve-net` binary drives load against (`--connect`).
-    pub connect: Option<String>,
     /// Per-connection in-flight window of the socket front end
     /// (`--conn-window` / `MSOPDS_CONN_WINDOW`): the server stops reading a
     /// connection with this many unanswered queries, letting TCP push back
@@ -232,7 +228,7 @@ fn env_count(var: &str, default: u64) -> u64 {
 impl RuntimeConfig {
     /// A builder seeded from the environment.
     pub fn builder() -> RuntimeConfigBuilder {
-        RuntimeConfigBuilder {
+        RuntimeConfigBuilder(RuntimeConfig {
             threads: default_threads(),
             backend: Backend::from_env(),
             metrics_out: telemetry::env_metrics_path(),
@@ -245,11 +241,9 @@ impl RuntimeConfig {
             deadline_us: env_count("MSOPDS_DEADLINE_US", 200),
             max_batch: env_count("MSOPDS_MAX_BATCH", 1024) as usize,
             queue_cap: env_count("MSOPDS_QUEUE_CAP", 8192) as usize,
-            listen: None,
-            connect: None,
             conn_window: env_count("MSOPDS_CONN_WINDOW", 64) as usize,
             drain_ms: env_count("MSOPDS_DRAIN_MS", 1000),
-        }
+        })
     }
 
     /// Applies the process-global side effects this configuration implies:
@@ -291,119 +285,90 @@ impl RuntimeConfig {
 
 /// Builder for [`RuntimeConfig`]; see [`RuntimeConfig::builder`].
 #[derive(Clone, Debug)]
-pub struct RuntimeConfigBuilder {
-    threads: usize,
-    backend: Backend,
-    metrics_out: Option<PathBuf>,
-    arm_faults: bool,
-    journal: Option<PathBuf>,
-    resume: bool,
-    retries: usize,
-    snapshot_out: Option<PathBuf>,
-    precision: ScorePrecision,
-    deadline_us: u64,
-    max_batch: usize,
-    queue_cap: usize,
-    listen: Option<String>,
-    connect: Option<String>,
-    conn_window: usize,
-    drain_ms: u64,
-}
+pub struct RuntimeConfigBuilder(RuntimeConfig);
 
 impl RuntimeConfigBuilder {
     /// Overrides the worker-thread budget (0 is rejected at [`build`](Self::build)).
     pub fn threads(mut self, n: usize) -> Self {
-        self.threads = n;
+        self.0.threads = n;
         self
     }
 
     /// Overrides the graph-operation backend.
     pub fn backend(mut self, backend: Backend) -> Self {
-        self.backend = backend;
+        self.0.backend = backend;
         self
     }
 
     /// Enables telemetry recording and sets the export path.
     pub fn metrics_out(mut self, path: impl Into<PathBuf>) -> Self {
-        self.metrics_out = Some(path.into());
+        self.0.metrics_out = Some(path.into());
         self
     }
 
     /// Disables fault-plan arming (tests that manage faultline themselves).
     pub fn no_faults(mut self) -> Self {
-        self.arm_faults = false;
+        self.0.arm_faults = false;
         self
     }
 
     /// Sets the cell journal path.
     pub fn journal(mut self, path: impl Into<PathBuf>) -> Self {
-        self.journal = Some(path.into());
+        self.0.journal = Some(path.into());
         self
     }
 
     /// Replays journaled successes.
     pub fn resume(mut self, on: bool) -> Self {
-        self.resume = on;
+        self.0.resume = on;
         self
     }
 
     /// Sets the per-cell retry budget.
     pub fn retries(mut self, n: usize) -> Self {
-        self.retries = n;
+        self.0.retries = n;
         self
     }
 
     /// Persist the clean victim's model snapshot to `path` after the run.
     pub fn snapshot_out(mut self, path: impl Into<PathBuf>) -> Self {
-        self.snapshot_out = Some(path.into());
+        self.0.snapshot_out = Some(path.into());
         self
     }
 
     /// Overrides the serving scoring kernel.
     pub fn precision(mut self, precision: ScorePrecision) -> Self {
-        self.precision = precision;
+        self.0.precision = precision;
         self
     }
 
     /// Overrides the async-serving coalescing deadline, microseconds.
     pub fn deadline_us(mut self, us: u64) -> Self {
-        self.deadline_us = us;
+        self.0.deadline_us = us;
         self
     }
 
     /// Overrides the async-serving max coalesced batch.
     pub fn max_batch(mut self, n: usize) -> Self {
-        self.max_batch = n;
+        self.0.max_batch = n;
         self
     }
 
     /// Overrides the async-serving admission cap.
     pub fn queue_cap(mut self, n: usize) -> Self {
-        self.queue_cap = n;
-        self
-    }
-
-    /// Sets the `serve-net` listen address.
-    pub fn listen(mut self, addr: impl Into<String>) -> Self {
-        self.listen = Some(addr.into());
-        self
-    }
-
-    /// Sets the `serve-net` connect address.
-    pub fn connect(mut self, addr: impl Into<String>) -> Self {
-        self.connect = Some(addr.into());
+        self.0.queue_cap = n;
         self
     }
 
     /// Overrides the socket front end's per-connection in-flight window.
     pub fn conn_window(mut self, n: usize) -> Self {
-        self.conn_window = n;
+        self.0.conn_window = n;
         self
     }
 
     /// Overrides the socket front end's graceful-drain bound, milliseconds.
     pub fn drain_ms(mut self, ms: u64) -> Self {
-        self.drain_ms = ms;
+        self.0.drain_ms = ms;
         self
     }
 
@@ -414,7 +379,7 @@ impl RuntimeConfigBuilder {
     /// `--metrics-out FILE`, `--journal FILE`, `--resume`, `--retries N`,
     /// `--snapshot-out FILE`, `--precision exact64|fast32`,
     /// `--deadline-us N`, `--max-batch N`, `--queue-cap N`,
-    /// `--listen ADDR`, `--connect ADDR`, `--conn-window N`, `--drain-ms N`.
+    /// `--conn-window N`, `--drain-ms N`.
     /// Errors name the offending flag, for `exit(2)`-style usage reporting.
     pub fn parse_cli(mut self, args: &[String]) -> Result<(Self, Vec<String>), String> {
         let mut rest = Vec::new();
@@ -426,59 +391,57 @@ impl RuntimeConfigBuilder {
         while i < args.len() {
             match args[i].as_str() {
                 "--threads" => {
-                    self.threads = value(&mut i, "--threads")?
+                    self.0.threads = value(&mut i, "--threads")?
                         .parse()
                         .map_err(|_| "--threads takes an integer".to_string())?;
                 }
                 "--backend" => {
-                    self.backend = value(&mut i, "--backend")?
+                    self.0.backend = value(&mut i, "--backend")?
                         .parse()
                         .map_err(|e| format!("--backend: {e}"))?;
                 }
                 "--metrics-out" => {
-                    self.metrics_out = Some(PathBuf::from(value(&mut i, "--metrics-out")?));
+                    self.0.metrics_out = Some(PathBuf::from(value(&mut i, "--metrics-out")?));
                 }
                 "--journal" => {
-                    self.journal = Some(PathBuf::from(value(&mut i, "--journal")?));
+                    self.0.journal = Some(PathBuf::from(value(&mut i, "--journal")?));
                 }
-                "--resume" => self.resume = true,
+                "--resume" => self.0.resume = true,
                 "--snapshot-out" => {
-                    self.snapshot_out = Some(PathBuf::from(value(&mut i, "--snapshot-out")?));
+                    self.0.snapshot_out = Some(PathBuf::from(value(&mut i, "--snapshot-out")?));
                 }
                 "--retries" => {
-                    self.retries = value(&mut i, "--retries")?
+                    self.0.retries = value(&mut i, "--retries")?
                         .parse()
                         .map_err(|_| "--retries takes an integer".to_string())?;
                 }
                 "--precision" => {
-                    self.precision = value(&mut i, "--precision")?
+                    self.0.precision = value(&mut i, "--precision")?
                         .parse()
                         .map_err(|e| format!("--precision: {e}"))?;
                 }
                 "--deadline-us" => {
-                    self.deadline_us = value(&mut i, "--deadline-us")?
+                    self.0.deadline_us = value(&mut i, "--deadline-us")?
                         .parse()
                         .map_err(|_| "--deadline-us takes an integer".to_string())?;
                 }
                 "--max-batch" => {
-                    self.max_batch = value(&mut i, "--max-batch")?
+                    self.0.max_batch = value(&mut i, "--max-batch")?
                         .parse()
                         .map_err(|_| "--max-batch takes an integer".to_string())?;
                 }
                 "--queue-cap" => {
-                    self.queue_cap = value(&mut i, "--queue-cap")?
+                    self.0.queue_cap = value(&mut i, "--queue-cap")?
                         .parse()
                         .map_err(|_| "--queue-cap takes an integer".to_string())?;
                 }
-                "--listen" => self.listen = Some(value(&mut i, "--listen")?),
-                "--connect" => self.connect = Some(value(&mut i, "--connect")?),
                 "--conn-window" => {
-                    self.conn_window = value(&mut i, "--conn-window")?
+                    self.0.conn_window = value(&mut i, "--conn-window")?
                         .parse()
                         .map_err(|_| "--conn-window takes an integer".to_string())?;
                 }
                 "--drain-ms" => {
-                    self.drain_ms = value(&mut i, "--drain-ms")?
+                    self.0.drain_ms = value(&mut i, "--drain-ms")?
                         .parse()
                         .map_err(|_| "--drain-ms takes an integer".to_string())?;
                 }
@@ -491,42 +454,22 @@ impl RuntimeConfigBuilder {
 
     /// Validates and produces the [`RuntimeConfig`].
     pub fn build(self) -> Result<RuntimeConfig, String> {
-        if self.threads == 0 {
+        if self.0.threads == 0 {
             return Err("--threads must be positive".to_string());
         }
-        if self.resume && self.journal.is_none() {
+        if self.0.resume && self.0.journal.is_none() {
             return Err("--resume requires --journal FILE".to_string());
         }
-        if self.max_batch == 0 {
+        if self.0.max_batch == 0 {
             return Err("--max-batch must be positive".to_string());
         }
-        if self.queue_cap == 0 {
+        if self.0.queue_cap == 0 {
             return Err("--queue-cap must be positive".to_string());
         }
-        if self.conn_window == 0 {
+        if self.0.conn_window == 0 {
             return Err("--conn-window must be positive".to_string());
         }
-        if self.listen.is_some() && self.connect.is_some() {
-            return Err("--listen and --connect are mutually exclusive".to_string());
-        }
-        Ok(RuntimeConfig {
-            threads: self.threads,
-            backend: self.backend,
-            metrics_out: self.metrics_out,
-            arm_faults: self.arm_faults,
-            journal: self.journal,
-            resume: self.resume,
-            retries: self.retries,
-            snapshot_out: self.snapshot_out,
-            precision: self.precision,
-            deadline_us: self.deadline_us,
-            max_batch: self.max_batch,
-            queue_cap: self.queue_cap,
-            listen: self.listen,
-            connect: self.connect,
-            conn_window: self.conn_window,
-            drain_ms: self.drain_ms,
-        })
+        Ok(self.0)
     }
 }
 
@@ -648,26 +591,16 @@ mod tests {
         let rt = RuntimeConfig::builder().build().unwrap();
         assert_eq!(rt.conn_window, 64);
         assert_eq!(rt.drain_ms, 1000);
-        assert_eq!(rt.listen, None);
-        assert_eq!(rt.connect, None);
 
-        let (rt, rest) =
-            cli(&["--listen", "127.0.0.1:0", "--conn-window", "8", "--drain-ms", "250"]).unwrap();
-        assert_eq!(rt.listen.as_deref(), Some("127.0.0.1:0"));
+        let (rt, rest) = cli(&["--conn-window", "8", "--drain-ms", "250"]).unwrap();
         assert_eq!(rt.conn_window, 8);
         assert_eq!(rt.drain_ms, 250);
         assert!(rest.is_empty());
 
-        let (rt, _) = cli(&["--connect", "10.0.0.1:7878"]).unwrap();
-        assert_eq!(rt.connect.as_deref(), Some("10.0.0.1:7878"));
-
         assert!(cli(&["--conn-window", "0"]).unwrap_err().contains("--conn-window"));
         assert!(cli(&["--conn-window", "x"]).unwrap_err().contains("--conn-window"));
         assert!(cli(&["--drain-ms", "soon"]).unwrap_err().contains("--drain-ms"));
-        assert!(cli(&["--listen"]).unwrap_err().contains("requires a value"));
-        assert!(cli(&["--listen", "a:1", "--connect", "b:2"])
-            .unwrap_err()
-            .contains("mutually exclusive"));
+        assert!(cli(&["--drain-ms"]).unwrap_err().contains("requires a value"));
     }
 
     #[test]
