@@ -15,6 +15,7 @@
 //! it never aborts the run.
 
 use msopds_autograd::cg::{conjugate_gradient_multi, SolveStatus};
+use msopds_autograd::hvp::grad_dot_products;
 use msopds_autograd::{Tape, Tensor};
 use msopds_recdata::{Dataset, PoisonAction};
 use msopds_recsys::pds::{build_pds, PdsConfig, PlayerInput};
@@ -95,12 +96,11 @@ pub fn influence_scores(
 
     let sol = conjugate_gradient_multi(
         |dirs| {
-            dirs.iter()
-                .map(|&(_, v)| {
-                    let vc = tape.constant(Tensor::from_vec(v.to_vec(), &shape));
-                    let gv = g.mul(vc).sum();
-                    tape.grad(gv, &[xhat]).remove(0).to_vec()
-                })
+            let vs = dirs.iter().map(|&(_, v)| Tensor::from_vec(v.to_vec(), &shape)).collect();
+            let n = dirs.len();
+            grad_dot_products(&tape, &vec![g; n], vs, &vec![xhat; n])
+                .into_iter()
+                .map(|hv| hv.to_vec())
                 .collect()
         },
         &[rhs.clone()],

@@ -20,28 +20,10 @@ impl Tape {
     ///
     /// If `output` is not scalar the seed is a ones tensor, i.e. the gradient
     /// of `output.sum()`. Nodes unreachable from `output` get a zero gradient
-    /// of the appropriate shape.
+    /// of the appropriate shape. This is the one-seed row of
+    /// [`Tape::grad_vars_multi`].
     pub fn grad_vars<'t>(&'t self, output: Var<'t>, wrt: &[Var<'t>]) -> Vec<Var<'t>> {
-        let n = output.id + 1;
-        let mut adj: Vec<Option<Var<'t>>> = vec![None; n];
-        let out_shape = output.value().shape().to_vec();
-        adj[output.id] = Some(self.constant(Tensor::ones(&out_shape)));
-
-        for id in (0..n).rev() {
-            let Some(g) = adj[id] else { continue };
-            let op = self.op(id);
-            let out = Var { tape: self, id };
-            self.push_vjps(&op, out, g, &mut adj);
-        }
-
-        wrt.iter()
-            .map(|v| {
-                adj.get(v.id)
-                    .copied()
-                    .flatten()
-                    .unwrap_or_else(|| self.constant(Tensor::zeros(v.value().shape())))
-            })
-            .collect()
+        self.grad_vars_multi(&[output], wrt).pop().expect("one row per output")
     }
 
     /// Differentiable gradients of several outputs in **one** reverse scan.

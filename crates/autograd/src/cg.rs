@@ -104,9 +104,6 @@ impl SolveOutcome {
     }
 }
 
-/// Backwards-compatible alias — the pre-guardrail name of the outcome type.
-pub type CgSolution = SolveOutcome;
-
 /// Solves `A·x = b` by conjugate gradient, for `A` given implicitly by the
 /// matrix-vector product `apply`.
 ///
@@ -120,6 +117,8 @@ pub type CgSolution = SolveOutcome;
 /// retries with 100×-escalated damping; a still-pathological solve returns a
 /// zero `x` and a typed status instead of silently non-converged garbage.
 /// This function never panics on numeric input (fault injection aside).
+///
+/// This is the one-system case of [`conjugate_gradient_multi`].
 pub fn conjugate_gradient(
     mut apply: impl FnMut(&[f64]) -> Vec<f64>,
     b: &[f64],
@@ -127,22 +126,15 @@ pub fn conjugate_gradient(
     tol: f64,
     damping: f64,
 ) -> SolveOutcome {
-    let _span = telemetry::span("cg");
-    faultline::fault_point!("cg.solve");
-    let mut b = b.to_vec();
-    faultline::corrupt_slice("cg.solve.rhs", &mut b);
-
-    let sol = solve_with_retries(&mut apply, &b, max_iters, tol, damping);
-    CG_SOLVES.incr();
-    CG_ITERATIONS.add(sol.iterations as u64);
-    CG_LAST_RESIDUAL.set(sol.residual);
-    if sol.retries > 0 {
-        CG_RETRIES.incr();
-    }
-    if !sol.usable() {
-        CG_UNUSABLE.incr();
-    }
-    sol
+    conjugate_gradient_multi(
+        |dirs| dirs.iter().map(|&(_, v)| apply(v)).collect(),
+        &[b.to_vec()],
+        max_iters,
+        tol,
+        damping,
+    )
+    .pop()
+    .expect("one outcome per right-hand side")
 }
 
 /// Solves a batch of systems `A·xᵢ = bᵢ` sharing one (possibly
@@ -153,17 +145,15 @@ pub fn conjugate_gradient(
 ///
 /// `apply_multi` receives `(system index, direction)` pairs — the system
 /// index is the position in `rhs` — and must return one product per pair, in
-/// order. Because the per-system α/β/residual recurrences only ever touch
-/// that system's own vectors, **every outcome is bitwise identical to the
-/// corresponding sequential [`conjugate_gradient`] call**: same iterates,
-/// same iteration counts, same [`SolveStatus`] classification.
+/// order. The α/β/residual recurrence of a system only ever touches that
+/// system's own vectors, so batching adds no cross-talk: each outcome is
+/// bitwise the one a solve of that system alone produces.
 ///
-/// Guardrail semantics are preserved exactly: non-finite right-hand sides
-/// short-circuit, and a system that goes pathological mid-lockstep drops out
-/// of the batch and replays the escalating damped retry chain on its own
-/// (retries call `apply_multi` with a single pair). Fault-injection sites
-/// fire once per right-hand side in index order, matching the occurrence
-/// sequence of sequential solves.
+/// Guardrails are those of [`conjugate_gradient`], per system: non-finite
+/// right-hand sides short-circuit, and a system that goes pathological drops
+/// out of the batch and runs the escalating damped retry chain on its own
+/// (retries call `apply_multi` with a single pair), in system order.
+/// Fault-injection sites fire once per right-hand side, in index order.
 pub fn conjugate_gradient_multi(
     mut apply_multi: impl FnMut(&[(usize, &[f64])]) -> Vec<Vec<f64>>,
     rhs: &[Vec<f64>],
@@ -171,9 +161,7 @@ pub fn conjugate_gradient_multi(
     tol: f64,
     damping: f64,
 ) -> Vec<SolveOutcome> {
-    let _span = telemetry::span("cg_multi");
-    // Fault sites fire per right-hand side, in index order — the same
-    // occurrence sequence the sequential solver produces.
+    let _span = telemetry::span("cg");
     let mut bs: Vec<Vec<f64>> = Vec::with_capacity(rhs.len());
     for b in rhs {
         faultline::fault_point!("cg.solve");
@@ -182,6 +170,62 @@ pub fn conjugate_gradient_multi(
         bs.push(b);
     }
 
+    let all: Vec<usize> = (0..bs.len()).collect();
+    let mut outcomes = lockstep(&mut apply_multi, &bs, &all, max_iters, tol, damping);
+
+    // Escalating damped retries, one pathological system at a time, each
+    // restarting from x = 0 at 100× the previous damping.
+    for (idx, sol) in outcomes.iter_mut().enumerate() {
+        let mut damping_now = damping;
+        for attempt in 1..=MAX_RETRIES {
+            if !pathological(sol.status) {
+                break;
+            }
+            damping_now = if damping_now > 0.0 { damping_now * 100.0 } else { 1e-4 };
+            let spent = sol.iterations;
+            *sol = lockstep(&mut apply_multi, &bs, &[idx], max_iters, tol, damping_now)
+                .pop()
+                .expect("one outcome per system");
+            sol.iterations += spent;
+            sol.retries = attempt;
+        }
+        if pathological(sol.status) {
+            *sol = SolveOutcome::zeroed(bs[idx].len(), sol.status, sol.retries, damping_now);
+        }
+    }
+
+    for sol in &outcomes {
+        CG_SOLVES.incr();
+        CG_ITERATIONS.add(sol.iterations as u64);
+        CG_LAST_RESIDUAL.set(sol.residual);
+        if sol.retries > 0 {
+            CG_RETRIES.incr();
+        }
+        if !sol.usable() {
+            CG_UNUSABLE.incr();
+        }
+    }
+    outcomes
+}
+
+/// Statuses that trigger a damped retry.
+fn pathological(status: SolveStatus) -> bool {
+    matches!(status, SolveStatus::NonFinite | SolveStatus::Diverged)
+}
+
+/// One CG attempt at a fixed `damping` over the systems `bs[idx]` for each
+/// `idx` in `systems`, run in lockstep: one `apply_multi` call per iteration
+/// carries the direction of every still-active system. Returns one outcome
+/// per entry of `systems`, in order, with `retries = 0`; a pathological
+/// system ends `NonFinite` or `Diverged` with the iterations it spent.
+fn lockstep(
+    apply_multi: &mut impl FnMut(&[(usize, &[f64])]) -> Vec<Vec<f64>>,
+    bs: &[Vec<f64>],
+    systems: &[usize],
+    max_iters: usize,
+    tol: f64,
+    damping: f64,
+) -> Vec<SolveOutcome> {
     let finished =
         |x: Vec<f64>, iterations: usize, residual: f64, status: SolveStatus| SolveOutcome {
             x,
@@ -193,8 +237,9 @@ pub fn conjugate_gradient_multi(
             damping,
         };
 
-    /// Attempt-0 state of one still-active system.
+    /// State of one still-active system.
     struct Sys {
+        slot: usize,
         idx: usize,
         x: Vec<f64>,
         r: Vec<f64>,
@@ -204,30 +249,33 @@ pub fn conjugate_gradient_multi(
         iterations: usize,
     }
 
-    let mut outcomes: Vec<Option<SolveOutcome>> = (0..bs.len()).map(|_| None).collect();
-    // Systems whose attempt 0 went pathological: (index, iterations spent,
-    // status) — they replay the retry chain sequentially below.
-    let mut pathological: Vec<(usize, usize, SolveStatus)> = Vec::new();
+    // A pathological attempt keeps only its iteration count: the retry chain
+    // replaces it, or zeroes it once the retries run out.
+    let failed = |s: &Sys, status: SolveStatus| {
+        finished(vec![0.0; s.x.len()], s.iterations, f64::INFINITY, status)
+    };
+
+    let mut outcomes: Vec<Option<SolveOutcome>> = vec![None; systems.len()];
     let mut active: Vec<Sys> = Vec::new();
-    for (idx, b) in bs.iter().enumerate() {
+    for (slot, &idx) in systems.iter().enumerate() {
+        let b = &bs[idx];
         if !b.iter().all(|v| v.is_finite()) {
-            outcomes[idx] =
+            outcomes[slot] =
                 Some(SolveOutcome::zeroed(b.len(), SolveStatus::NonFiniteRhs, 0, damping));
             continue;
         }
-        let r = b.clone();
+        let r = b.clone(); // r = b − A·0
         let rs_old = dot(&r, &r);
         let bnorm = rs_old.sqrt().max(1e-30);
         if rs_old.sqrt() <= tol * bnorm {
-            outcomes[idx] =
+            outcomes[slot] =
                 Some(finished(vec![0.0; b.len()], 0, rs_old.sqrt(), SolveStatus::Converged));
             continue;
         }
         let p = r.clone();
-        active.push(Sys { idx, x: vec![0.0; b.len()], r, p, rs_old, bnorm, iterations: 0 });
+        active.push(Sys { slot, idx, x: vec![0.0; b.len()], r, p, rs_old, bnorm, iterations: 0 });
     }
 
-    // Lockstep attempt 0: one batched operator application per iteration.
     for _ in 0..max_iters {
         if active.is_empty() {
             break;
@@ -245,11 +293,14 @@ pub fn conjugate_gradient_multi(
             }
             let p_ap = dot(&s.p, &ap);
             if !p_ap.is_finite() {
-                pathological.push((s.idx, s.iterations, SolveStatus::NonFinite));
+                // The operator itself produced NaN/∞ — retry with more damping.
+                outcomes[s.slot] = Some(failed(&s, SolveStatus::NonFinite));
                 continue;
             }
             if p_ap.abs() < 1e-300 {
-                outcomes[s.idx] =
+                // Breakdown: direction has (numerically) zero curvature. The
+                // iterate accumulated so far is still finite and usable.
+                outcomes[s.slot] =
                     Some(finished(s.x, s.iterations, s.rs_old.sqrt(), SolveStatus::Breakdown));
                 continue;
             }
@@ -262,21 +313,23 @@ pub fn conjugate_gradient_multi(
             }
             let rs_new = dot(&s.r, &s.r);
             if !rs_new.is_finite() {
-                pathological.push((s.idx, s.iterations, SolveStatus::NonFinite));
+                outcomes[s.slot] = Some(failed(&s, SolveStatus::NonFinite));
                 continue;
             }
             if rs_new.sqrt() > DIVERGENCE_FACTOR * s.bnorm {
-                pathological.push((s.idx, s.iterations, SolveStatus::Diverged));
+                // Indefinite / non-symmetric operator: the "residual" is
+                // running away, each extra iteration makes x worse.
+                outcomes[s.slot] = Some(failed(&s, SolveStatus::Diverged));
                 continue;
             }
             if rs_new.sqrt() <= tol * s.bnorm {
-                outcomes[s.idx] =
+                outcomes[s.slot] =
                     Some(finished(s.x, s.iterations, rs_new.sqrt(), SolveStatus::Converged));
                 continue;
             }
             let beta = rs_new / s.rs_old;
-            for i in 0..s.p.len() {
-                s.p[i] = s.r[i] + beta * s.p[i];
+            for (p, &r) in s.p.iter_mut().zip(s.r.iter()) {
+                *p = r + beta * *p;
             }
             s.rs_old = rs_new;
             still.push(s);
@@ -284,166 +337,10 @@ pub fn conjugate_gradient_multi(
         active = still;
     }
     for s in active {
-        outcomes[s.idx] = Some(finished(s.x, s.iterations, s.rs_old.sqrt(), SolveStatus::MaxIters));
+        outcomes[s.slot] =
+            Some(finished(s.x, s.iterations, s.rs_old.sqrt(), SolveStatus::MaxIters));
     }
-
-    // Escalating damped retries, one pathological system at a time — the
-    // exact attempt-by-attempt behaviour of `solve_with_retries`, with
-    // attempt 0 already spent in lockstep.
-    for (idx, iters0, status0) in pathological {
-        let b = &bs[idx];
-        let mut single =
-            |v: &[f64]| apply_multi(&[(idx, v)]).pop().expect("one product per direction");
-        let mut total_iterations = iters0;
-        let mut damping_now = damping;
-        let mut out = None;
-        for attempt in 1..=MAX_RETRIES {
-            damping_now = if damping_now > 0.0 { damping_now * 100.0 } else { 1e-4 };
-            let mut sol = cg_loop(&mut single, b, max_iters, tol, damping_now);
-            total_iterations += sol.iterations;
-            sol.iterations = total_iterations;
-            sol.retries = attempt;
-            match sol.status {
-                SolveStatus::Converged | SolveStatus::MaxIters | SolveStatus::Breakdown => {
-                    out = Some(sol);
-                    break;
-                }
-                SolveStatus::NonFinite | SolveStatus::Diverged => {
-                    if attempt == MAX_RETRIES {
-                        out = Some(SolveOutcome::zeroed(b.len(), sol.status, attempt, damping_now));
-                    }
-                }
-                SolveStatus::NonFiniteRhs => unreachable!("rhs checked before iterating"),
-            }
-        }
-        outcomes[idx] =
-            Some(out.unwrap_or_else(|| SolveOutcome::zeroed(b.len(), status0, 0, damping)));
-    }
-
-    let outcomes: Vec<SolveOutcome> =
-        outcomes.into_iter().map(|o| o.expect("every system classified")).collect();
-    for sol in &outcomes {
-        CG_SOLVES.incr();
-        CG_ITERATIONS.add(sol.iterations as u64);
-        CG_LAST_RESIDUAL.set(sol.residual);
-        if sol.retries > 0 {
-            CG_RETRIES.incr();
-        }
-        if !sol.usable() {
-            CG_UNUSABLE.incr();
-        }
-    }
-    outcomes
-}
-
-fn solve_with_retries(
-    apply: &mut impl FnMut(&[f64]) -> Vec<f64>,
-    b: &[f64],
-    max_iters: usize,
-    tol: f64,
-    damping: f64,
-) -> SolveOutcome {
-    if !b.iter().all(|v| v.is_finite()) {
-        return SolveOutcome::zeroed(b.len(), SolveStatus::NonFiniteRhs, 0, damping);
-    }
-
-    let mut total_iterations = 0;
-    let mut damping_now = damping;
-    for attempt in 0..=MAX_RETRIES {
-        let mut sol = cg_loop(apply, b, max_iters, tol, damping_now);
-        total_iterations += sol.iterations;
-        sol.iterations = total_iterations;
-        sol.retries = attempt;
-        match sol.status {
-            // Finite outcomes stand (Breakdown keeps pre-breakdown progress).
-            SolveStatus::Converged | SolveStatus::MaxIters | SolveStatus::Breakdown => {
-                return sol;
-            }
-            // Pathology: escalate damping and retry from scratch.
-            SolveStatus::NonFinite | SolveStatus::Diverged => {
-                if attempt == MAX_RETRIES {
-                    return SolveOutcome::zeroed(b.len(), sol.status, attempt, damping_now);
-                }
-                damping_now = if damping_now > 0.0 { damping_now * 100.0 } else { 1e-4 };
-            }
-            SolveStatus::NonFiniteRhs => unreachable!("rhs checked before iterating"),
-        }
-    }
-    unreachable!("loop returns on every branch")
-}
-
-fn cg_loop(
-    apply: &mut impl FnMut(&[f64]) -> Vec<f64>,
-    b: &[f64],
-    max_iters: usize,
-    tol: f64,
-    damping: f64,
-) -> SolveOutcome {
-    let n = b.len();
-    let mut x = vec![0.0; n];
-    let mut r = b.to_vec(); // r = b - A·0
-    let mut p = r.clone();
-    let mut rs_old = dot(&r, &r);
-    let bnorm = rs_old.sqrt().max(1e-30);
-
-    let outcome =
-        |x: Vec<f64>, iterations: usize, residual: f64, status: SolveStatus| SolveOutcome {
-            x,
-            iterations,
-            residual,
-            converged: status == SolveStatus::Converged,
-            status,
-            retries: 0,
-            damping,
-        };
-
-    if rs_old.sqrt() <= tol * bnorm {
-        return outcome(x, 0, rs_old.sqrt(), SolveStatus::Converged);
-    }
-
-    let mut iterations = 0;
-    for _ in 0..max_iters {
-        iterations += 1;
-        let mut ap = apply(&p);
-        if damping != 0.0 {
-            for (a, &pi) in ap.iter_mut().zip(p.iter()) {
-                *a += damping * pi;
-            }
-        }
-        let p_ap = dot(&p, &ap);
-        if !p_ap.is_finite() {
-            // The operator itself produced NaN/∞ — retry with more damping.
-            return outcome(vec![0.0; n], iterations, f64::INFINITY, SolveStatus::NonFinite);
-        }
-        if p_ap.abs() < 1e-300 {
-            // Breakdown: direction has (numerically) zero curvature. The
-            // iterate accumulated so far is still finite and usable.
-            return outcome(x, iterations, rs_old.sqrt(), SolveStatus::Breakdown);
-        }
-        let alpha = rs_old / p_ap;
-        for i in 0..n {
-            x[i] += alpha * p[i];
-            r[i] -= alpha * ap[i];
-        }
-        let rs_new = dot(&r, &r);
-        if !rs_new.is_finite() {
-            return outcome(vec![0.0; n], iterations, f64::INFINITY, SolveStatus::NonFinite);
-        }
-        if rs_new.sqrt() > DIVERGENCE_FACTOR * bnorm {
-            // Indefinite / non-symmetric operator: the "residual" is running
-            // away, each extra iteration makes x worse.
-            return outcome(vec![0.0; n], iterations, rs_new.sqrt(), SolveStatus::Diverged);
-        }
-        if rs_new.sqrt() <= tol * bnorm {
-            return outcome(x, iterations, rs_new.sqrt(), SolveStatus::Converged);
-        }
-        let beta = rs_new / rs_old;
-        for i in 0..n {
-            p[i] = r[i] + beta * p[i];
-        }
-        rs_old = rs_new;
-    }
-    outcome(x, iterations, rs_old.sqrt(), SolveStatus::MaxIters)
+    outcomes.into_iter().map(|o| o.expect("every system classified")).collect()
 }
 
 fn dot(a: &[f64], b: &[f64]) -> f64 {
@@ -456,6 +353,21 @@ mod tests {
 
     fn mat_apply(m: &[Vec<f64>]) -> impl FnMut(&[f64]) -> Vec<f64> + '_ {
         move |v: &[f64]| m.iter().map(|row| dot(row, v)).collect()
+    }
+
+    /// `A = MᵀM + I` for a random `M`: symmetric positive definite.
+    fn random_spd(rng: &mut rand::rngs::StdRng, n: usize) -> Vec<Vec<f64>> {
+        use rand::Rng;
+        let mm: Vec<Vec<f64>> =
+            (0..n).map(|_| (0..n).map(|_| rng.gen_range(-1.0..1.0)).collect()).collect();
+        let mut a = vec![vec![0.0; n]; n];
+        for i in 0..n {
+            for j in 0..n {
+                a[i][j] = (0..n).map(|k| mm[k][i] * mm[k][j]).sum::<f64>()
+                    + if i == j { 1.0 } else { 0.0 };
+            }
+        }
+        a
     }
 
     #[test]
@@ -503,16 +415,7 @@ mod tests {
         use rand::{Rng, SeedableRng};
         let mut rng = rand::rngs::StdRng::seed_from_u64(42);
         let n = 12;
-        // A = MᵀM + I is SPD.
-        let mm: Vec<Vec<f64>> =
-            (0..n).map(|_| (0..n).map(|_| rng.gen_range(-1.0..1.0)).collect()).collect();
-        let mut a = vec![vec![0.0; n]; n];
-        for i in 0..n {
-            for j in 0..n {
-                a[i][j] = (0..n).map(|k| mm[k][i] * mm[k][j]).sum::<f64>()
-                    + if i == j { 1.0 } else { 0.0 };
-            }
-        }
+        let a = random_spd(&mut rng, n);
         let b: Vec<f64> = (0..n).map(|_| rng.gen_range(-1.0..1.0)).collect();
         let sol = conjugate_gradient(mat_apply(&a), &b, 200, 1e-10, 0.0);
         assert!(sol.converged, "residual {}", sol.residual);
@@ -623,7 +526,7 @@ mod tests {
         }
     }
 
-    // ---- multi-RHS lockstep solver (ISSUE 6): bitwise parity ----
+    // ---- multi-RHS lockstep solver: no cross-talk, pinned outcomes ----
 
     /// Asserts two outcomes are bitwise identical (x, residual) and equal on
     /// every classification field.
@@ -650,15 +553,7 @@ mod tests {
         use rand::{Rng, SeedableRng};
         let mut rng = rand::rngs::StdRng::seed_from_u64(11);
         let n = 10;
-        let mm: Vec<Vec<f64>> =
-            (0..n).map(|_| (0..n).map(|_| rng.gen_range(-1.0..1.0)).collect()).collect();
-        let mut a = vec![vec![0.0; n]; n];
-        for i in 0..n {
-            for j in 0..n {
-                a[i][j] = (0..n).map(|k| mm[k][i] * mm[k][j]).sum::<f64>()
-                    + if i == j { 1.0 } else { 0.0 };
-            }
-        }
+        let a = random_spd(&mut rng, n);
         let rhs: Vec<Vec<f64>> =
             (0..4).map(|_| (0..n).map(|_| rng.gen_range(-1.0..1.0)).collect()).collect();
         // Mixed convergence speeds: also truncate one run hard so MaxIters
@@ -678,28 +573,27 @@ mod tests {
         }
     }
 
-    #[test]
-    fn multi_rhs_mixed_pathologies_match_sequential() {
-        // One batch containing every guardrail path at once: a healthy SPD
-        // system, a NaN rhs, a divergent indefinite system (exercises the
-        // retry chain), a zero-operator breakdown, and a zero rhs. Each must
-        // come out bitwise identical to its sequential solve, with identical
-        // typed status and retry count.
+    /// System-indexed operator of one batch containing every guardrail path
+    /// at once: a healthy SPD system, a NaN rhs, an indefinite system, a
+    /// zero-operator breakdown, a zero rhs and a NaN operator (exercises the
+    /// retry chain).
+    fn mixed_apply(idx: usize, v: &[f64]) -> Vec<f64> {
         let spd = vec![vec![4.0, 1.0], vec![1.0, 3.0]];
         let indefinite = vec![vec![1.0, 0.0], vec![0.0, -1.0]];
         let zero = vec![vec![0.0, 0.0], vec![0.0, 0.0]];
-        let nan_op = |v: &[f64]| v.iter().map(|_| f64::NAN).collect::<Vec<_>>();
-        let apply_for = |idx: usize, v: &[f64]| -> Vec<f64> {
-            match idx {
-                0 => mat_apply(&spd)(v),
-                1 => mat_apply(&spd)(v), // never called: rhs is non-finite
-                2 => mat_apply(&indefinite)(v),
-                3 => mat_apply(&zero)(v),
-                4 => mat_apply(&spd)(v), // never iterates: zero rhs
-                5 => nan_op(v),
-                _ => unreachable!(),
-            }
-        };
+        match idx {
+            0 => mat_apply(&spd)(v),
+            1 => mat_apply(&spd)(v), // never called: rhs is non-finite
+            2 => mat_apply(&indefinite)(v),
+            3 => mat_apply(&zero)(v),
+            4 => mat_apply(&spd)(v), // never iterates: zero rhs
+            5 => v.iter().map(|_| f64::NAN).collect(),
+            _ => unreachable!(),
+        }
+    }
+
+    #[test]
+    fn multi_rhs_mixed_pathologies_match_sequential() {
         let rhs: Vec<Vec<f64>> = vec![
             vec![1.0, 2.0],
             vec![f64::NAN, 1.0],
@@ -708,9 +602,24 @@ mod tests {
             vec![0.0, 0.0],
             vec![1.0, 1.0],
         ];
+        // One-system outcomes recorded from the standalone single-system
+        // recurrence and retry chain that the lockstep one replaced: x bits,
+        // residual bits, iterations, status, retries, damping bits. b = [1,1]
+        // on diag(1,-1) has exactly zero curvature along the first direction,
+        // so the indefinite system is a deterministic breakdown.
+        use SolveStatus::*;
+        const INF: u64 = 0x7ff0_0000_0000_0000;
+        let pinned: [([u64; 2], u64, usize, SolveStatus, usize, u64); 6] = [
+            ([0x3fb7_45d1_745d_1746, 0x3fe4_5d17_45d1_745d], 0, 2, Converged, 0, 0),
+            ([0, 0], INF, 0, NonFiniteRhs, 0, 0),
+            ([0, 0], 0x3ff6_a09e_667f_3bcd, 1, Breakdown, 0, 0),
+            ([0, 0], 0x4001_e377_9b97_f4a8, 1, Breakdown, 0, 0),
+            ([0, 0], 0, 0, Converged, 0, 0),
+            ([0, 0], INF, 0, NonFinite, MAX_RETRIES, 0x3f84_7ae1_47ae_147b),
+        ];
         let (max_iters, tol, damping) = (100usize, 1e-12, 0.0);
         let multi = conjugate_gradient_multi(
-            |dirs| dirs.iter().map(|&(idx, p)| apply_for(idx, p)).collect(),
+            |dirs| dirs.iter().map(|&(idx, p)| mixed_apply(idx, p)).collect(),
             &rhs,
             max_iters,
             tol,
@@ -718,19 +627,19 @@ mod tests {
         );
         assert_eq!(multi.len(), rhs.len());
         for (idx, (m, b)) in multi.iter().zip(rhs.iter()).enumerate() {
-            let single = conjugate_gradient(|v| apply_for(idx, v), b, max_iters, tol, damping);
-            assert_outcome_bits_eq(m, &single, &format!("system {idx}"));
+            // Batching adds no cross-talk: each system matches its own solve.
+            let single = conjugate_gradient(|v| mixed_apply(idx, v), b, max_iters, tol, damping);
+            let label = format!("system {idx}");
+            assert_outcome_bits_eq(m, &single, &label);
+            let (x, residual, iterations, status, retries, damping) = pinned[idx];
+            assert_eq!(single.x.iter().map(|v| v.to_bits()).collect::<Vec<_>>(), x, "{label}");
+            assert_eq!(single.residual.to_bits(), residual, "{label}: residual");
+            assert_eq!(single.iterations, iterations, "{label}: iterations");
+            assert_eq!(single.status, status, "{label}: status");
+            assert_eq!(single.converged, status == Converged, "{label}: converged");
+            assert_eq!(single.retries, retries, "{label}: retries");
+            assert_eq!(single.damping.to_bits(), damping, "{label}: damping");
         }
-        // Spot-check the classifications really covered distinct paths.
-        assert_eq!(multi[0].status, SolveStatus::Converged);
-        assert_eq!(multi[1].status, SolveStatus::NonFiniteRhs);
-        // b = [1,1] on diag(1,-1) has exactly zero curvature along the first
-        // direction, so the indefinite system is a deterministic breakdown.
-        assert_eq!(multi[2].status, SolveStatus::Breakdown);
-        assert_eq!(multi[3].status, SolveStatus::Breakdown);
-        assert_eq!(multi[4].iterations, 0);
-        assert_eq!(multi[5].status, SolveStatus::NonFinite);
-        assert_eq!(multi[5].retries, MAX_RETRIES);
     }
 
     #[test]
@@ -746,15 +655,7 @@ mod tests {
         use rand::{Rng, SeedableRng};
         let mut rng = rand::rngs::StdRng::seed_from_u64(3);
         let n = 12;
-        let mm: Vec<Vec<f64>> =
-            (0..n).map(|_| (0..n).map(|_| rng.gen_range(-1.0..1.0)).collect()).collect();
-        let mut a = vec![vec![0.0; n]; n];
-        for i in 0..n {
-            for j in 0..n {
-                a[i][j] = (0..n).map(|k| mm[k][i] * mm[k][j]).sum::<f64>()
-                    + if i == j { 1.0 } else { 0.0 };
-            }
-        }
+        let a = random_spd(&mut rng, n);
         let b: Vec<f64> = (0..n).map(|_| rng.gen_range(-1.0..1.0)).collect();
         let sol = conjugate_gradient(mat_apply(&a), &b, 1, 1e-14, 0.0);
         assert_eq!(sol.status, SolveStatus::MaxIters);

@@ -2,12 +2,14 @@
 //!
 //! Two interchangeable mechanisms:
 //!
-//! * [`hvp_exact`] / [`mixed_vjp_exact`] — double backward through the tape.
-//!   Because every VJP in [`crate::backward`] is recorded as ordinary tape
-//!   ops, differentiating a gradient node is exact.
+//! * [`grad_dot_products`] — double backward through the tape, for a batch
+//!   of products in one reverse scan; [`hvp_exact`] / [`mixed_vjp_exact`] are
+//!   its one-product forms. Because every VJP in [`crate::backward`] is
+//!   recorded as ordinary tape ops, differentiating a gradient node is exact.
 //! * [`HvpMode::FiniteDiff`] — central differences of a user-supplied gradient
-//!   closure, used as an independent cross-check in tests and as a fallback
-//!   for extremely deep unrolled tapes.
+//!   closure ([`hvp_finite_diff`]). It shares no code with the tape's second
+//!   order, which makes it the independent oracle the tests check the exact
+//!   products against.
 
 use msopds_telemetry as telemetry;
 use serde::{Deserialize, Serialize};
@@ -16,7 +18,7 @@ use crate::tape::Tape;
 use crate::tensor::Tensor;
 use crate::var::Var;
 
-/// Second-order products computed (exact double backward or mixed VJP).
+/// Second-order products computed by double backward.
 static HVP_PRODUCTS: telemetry::Counter = telemetry::Counter::new("autograd.hvp.products");
 
 /// Which Hessian-vector product mechanism to use.
@@ -29,33 +31,46 @@ pub enum HvpMode {
     FiniteDiff,
 }
 
+/// Second-order products `∂⟨grads[s], dirs[s]⟩/∂wrt[s]` for every `s`, in
+/// one multi-seed reverse scan.
+///
+/// With `grads[s] = ∂L/∂x` (a differentiable gradient from
+/// [`Tape::grad_vars`]), `wrt[s] = x` gives the Hessian-vector product
+/// `(∂²L/∂x²)·dirs[s]`, and `wrt[s] = y` the mixed product
+/// `dirs[s]ᵀ·∂²L/∂y∂x`. The seeds never mix, so each product is bitwise the
+/// one a separate scan would give.
+pub fn grad_dot_products<'t>(
+    tape: &'t Tape,
+    grads: &[Var<'t>],
+    dirs: Vec<Tensor>,
+    wrt: &[Var<'t>],
+) -> Vec<Tensor> {
+    assert!(grads.len() == dirs.len() && grads.len() == wrt.len(), "one dir and wrt per grad");
+    HVP_PRODUCTS.add(grads.len() as u64);
+    let seeds: Vec<Var<'t>> =
+        grads.iter().zip(dirs).map(|(g, v)| g.mul(tape.constant(v)).sum()).collect();
+    let rows = tape.grad_vars_multi(&seeds, wrt);
+    rows.iter().enumerate().map(|(s, row)| row[s].value()).collect()
+}
+
 /// Exact Hessian-vector product `(∂²L/∂x²)·v` via double backward.
 ///
 /// `loss` must be a scalar node, `x` a leaf it depends on, and `v` a tensor
 /// with the same shape as `x`'s value.
 pub fn hvp_exact(tape: &Tape, loss: Var<'_>, x: Var<'_>, v: &Tensor) -> Tensor {
     let _span = telemetry::span("hvp");
-    HVP_PRODUCTS.incr();
-    let loss = rebind(tape, loss);
     let x = rebind(tape, x);
-    let g = tape.grad_vars(loss, &[x])[0];
-    let v_const = tape.constant(v.clone());
-    let gv = g.mul(v_const).sum();
-    tape.grad(gv, &[x]).remove(0)
+    let g = tape.grad_vars(rebind(tape, loss), &[x])[0];
+    grad_dot_products(tape, &[g], vec![v.clone()], &[x]).remove(0)
 }
 
 /// Exact mixed product `vᵀ·(∂²L/∂y∂x)` via double backward: differentiates
 /// `⟨∂L/∂x, v⟩` with respect to `y`.
 pub fn mixed_vjp_exact(tape: &Tape, loss: Var<'_>, x: Var<'_>, y: Var<'_>, v: &Tensor) -> Tensor {
     let _span = telemetry::span("mixed_vjp");
-    HVP_PRODUCTS.incr();
-    let loss = rebind(tape, loss);
     let x = rebind(tape, x);
-    let y = rebind(tape, y);
-    let g = tape.grad_vars(loss, &[x])[0];
-    let v_const = tape.constant(v.clone());
-    let gv = g.mul(v_const).sum();
-    tape.grad(gv, &[y]).remove(0)
+    let g = tape.grad_vars(rebind(tape, loss), &[x])[0];
+    grad_dot_products(tape, &[g], vec![v.clone()], &[rebind(tape, y)]).remove(0)
 }
 
 /// Finite-difference Hessian-vector product from a gradient closure.

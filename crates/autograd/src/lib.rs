@@ -47,7 +47,7 @@ pub mod tape;
 pub mod tensor;
 mod var;
 
-pub use cg::{conjugate_gradient, conjugate_gradient_multi, CgSolution, SolveOutcome, SolveStatus};
+pub use cg::{conjugate_gradient, conjugate_gradient_multi, SolveOutcome, SolveStatus};
 pub use hvp::HvpMode;
 pub use sparse::{spmm, SparseMatrix, SparseOperand, SparseShards, SparseSide};
 pub use tape::{NodeId, Op, Tape, TapeStats};

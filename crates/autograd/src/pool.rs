@@ -18,7 +18,7 @@
 //!    reuses them instead of hitting the allocator.
 //!
 //! Callers above this crate set the pool size through their configs
-//! (`GameConfig::kernel_threads`, `MsoConfig::threads`, the `repro` binary's
+//! (`GameConfig::kernel_threads`, `XpConfig::threads`, the `repro` binary's
 //! `--threads` flag / `MSOPDS_THREADS`); cell-level parallelism in the
 //! experiment harness and kernel-level lanes share one budget so the process
 //! never oversubscribes.

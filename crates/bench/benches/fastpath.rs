@@ -17,7 +17,7 @@
 //!   `conjugate_gradient` calls (one SpMV per iteration each) or by one
 //!   `conjugate_gradient_multi` whose `apply_multi` packs the active
 //!   directions into an `[n, N]` operand and runs a single SpMM — the same
-//!   amortization `mso_optimize`'s batched arm gets from multi-seed
+//!   amortization `mso_optimize`'s correction gets from multi-seed
 //!   backward. Both paths run a fixed iteration budget (tol pinned far below
 //!   reach) so the timed work is identical; column-wise bitwise equality of
 //!   the two solution sets is asserted once outside the timer.

@@ -16,7 +16,8 @@
 //! [`crate::msopds`]) and analytic games used to validate convergence against
 //! closed-form equilibria.
 
-use msopds_autograd::{conjugate_gradient, conjugate_gradient_multi, HvpMode, Tape, Tensor, Var};
+use msopds_autograd::hvp::{grad_dot_products, hvp_finite_diff};
+use msopds_autograd::{conjugate_gradient_multi, HvpMode, Tape, Tensor, Var};
 use msopds_faultline as faultline;
 use msopds_telemetry as telemetry;
 use serde::{Deserialize, Serialize};
@@ -67,18 +68,6 @@ pub struct MsoConfig {
     pub cg_damping: f64,
     /// Hessian-vector product mechanism.
     pub hvp_mode: HvpMode,
-    /// Kernel-pool lanes used while this solve runs (`0` = inherit the
-    /// process-wide pool configuration; see `msopds_autograd::pool`).
-    pub threads: usize,
-    /// Batch the per-follower implicit solves into one multi-RHS conjugate
-    /// gradient (and the per-follower backward passes into multi-seed scans),
-    /// amortizing the shared-tape walk and the operator's memory traffic
-    /// across opponents. Numerically identical to the sequential path —
-    /// per-follower gradients, solves, and `SolveOutcome` classifications are
-    /// bitwise unchanged — so this is on by default; it only applies to
-    /// [`HvpMode::Exact`] (finite-difference HVPs rebuild the game per
-    /// follower and stay sequential).
-    pub batch_solves: bool,
 }
 
 impl Default for MsoConfig {
@@ -91,8 +80,6 @@ impl Default for MsoConfig {
             cg_tol: 1e-6,
             cg_damping: 1e-3,
             hvp_mode: HvpMode::Exact,
-            threads: 0,
-            batch_solves: true,
         }
     }
 }
@@ -159,9 +146,6 @@ pub fn mso_optimize<G: StackelbergGame>(
         cfg.eta_p,
         cfg.eta_q
     );
-    if cfg.threads > 0 {
-        msopds_autograd::pool::configure_threads(cfg.threads);
-    }
     let mut diag = MsoDiagnostics::default();
     let _mso_span = telemetry::span("mso");
 
@@ -197,212 +181,124 @@ pub fn mso_optimize<G: StackelbergGame>(
         };
         // `None` = follower excluded this round (its eq. 9 update is skipped).
         let mut follower_grads: Vec<Option<Tensor>> = Vec::with_capacity(xqs.len());
-        let batched = cfg.batch_solves && matches!(cfg.hvp_mode, HvpMode::Exact);
-        if batched {
-            // Batched arm: same math as the sequential loop below, with the
-            // per-follower backward passes fused into multi-seed scans and the
-            // per-follower CG solves run in lockstep. Every per-follower value
-            // (gradient, solve iterates, SolveOutcome, correction) is bitwise
-            // identical to the sequential arm; only the order *between*
-            // followers of the phases changes, so exclusion diagnostics may
-            // interleave differently when several followers fail in the same
-            // round for different-phase reasons.
 
-            // Phase 1: all follower gradients ∂L^qᵢ/∂X^qᵢ in one reverse
-            // scan over the shared tape (the PDS build is walked once, not
-            // once per follower).
-            let gq_all = tape.grad_vars_multi(&built.lqs, &built.xqs);
-            let gqs: Vec<Var<'_>> = gq_all.iter().enumerate().map(|(i, row)| row[i]).collect();
+        // Phase 1: all follower gradients ∂L^qᵢ/∂X^qᵢ (eq. 9) in one reverse
+        // scan over the shared tape (the PDS build is walked once, not once
+        // per follower), kept on the tape so they can be differentiated again
+        // for the second-order terms.
+        let gq_all = tape.grad_vars_multi(&built.lqs, &built.xqs);
+        let gqs: Vec<Var<'_>> = gq_all.iter().enumerate().map(|(i, row)| row[i]).collect();
 
-            // Phase 2: screening, in follower order — identical exclusion
-            // reasons and fault-injection occurrence sequence as sequential.
-            let mut solvable: Vec<usize> = Vec::new();
-            let mut rhss: Vec<Vec<f64>> = Vec::new();
-            let mut shapes: Vec<Vec<usize>> = Vec::new();
-            for i in 0..built.xqs.len() {
-                let gq_val = gqs[i].value();
-                if !gq_val.all_finite() {
-                    exclude(&mut diag, i, "non-finite follower gradient ∂L^q/∂X^q".to_string());
-                    follower_grads.push(None);
-                    continue;
-                }
-                follower_gnorm += gq_val.norm();
-                follower_grads.push(Some(gq_val));
-
-                let mut rhs = gp_all[1 + i].value();
-                if faultline::armed() {
-                    let mut v = rhs.to_vec();
-                    faultline::corrupt_slice("mso.follower.rhs", &mut v);
-                    rhs = Tensor::from_vec(v, rhs.shape());
-                }
-                if !rhs.all_finite() {
-                    exclude(&mut diag, i, "non-finite right-hand side ∂L^p/∂X^q".to_string());
-                    continue;
-                }
-                if rhs.norm() < 1e-12 {
-                    continue; // the leader loss does not see this follower
-                }
-                solvable.push(i);
-                shapes.push(rhs.shape().to_vec());
-                rhss.push(rhs.to_vec());
+        // Phase 2: screening, in follower order.
+        let mut solvable: Vec<usize> = Vec::new();
+        let mut rhss: Vec<Vec<f64>> = Vec::new();
+        let mut shapes: Vec<Vec<usize>> = Vec::new();
+        for i in 0..built.xqs.len() {
+            let gq_val = gqs[i].value();
+            if !gq_val.all_finite() {
+                // A diverged follower must not poison the round: freeze its
+                // decision vector and drop its correction, with a diagnostic.
+                exclude(&mut diag, i, "non-finite follower gradient ∂L^q/∂X^q".to_string());
+                follower_grads.push(None);
+                continue;
             }
+            follower_gnorm += gq_val.norm();
+            follower_grads.push(Some(gq_val));
 
-            // Phase 3: one lockstep multi-RHS solve. Each iteration fuses the
-            // HVPs of every still-active follower into one multi-seed
-            // backward pass instead of one tape walk per follower.
-            let sols = if rhss.is_empty() {
-                Vec::new()
-            } else {
-                conjugate_gradient_multi(
-                    |dirs| {
-                        let mut gvs = Vec::with_capacity(dirs.len());
-                        let mut wrts = Vec::with_capacity(dirs.len());
-                        for &(s, v) in dirs {
-                            let i = solvable[s];
-                            let vc = tape.constant(Tensor::from_vec(v.to_vec(), &shapes[s]));
-                            gvs.push(gqs[i].mul(vc).sum());
-                            wrts.push(built.xqs[i]);
-                        }
-                        let grads = tape.grad_vars_multi(&gvs, &wrts);
-                        grads
-                            .into_iter()
-                            .enumerate()
-                            .map(|(j, row)| row[j].value().to_vec())
-                            .collect()
-                    },
-                    &rhss,
-                    cfg.cg_iters,
-                    cfg.cg_tol,
-                    cfg.cg_damping,
-                )
-            };
+            // Right-hand side ∂L^p/∂X^qᵢ of the implicit solve.
+            let mut rhs = gp_all[1 + i].value();
+            if faultline::armed() {
+                let mut v = rhs.to_vec();
+                faultline::corrupt_slice("mso.follower.rhs", &mut v);
+                rhs = Tensor::from_vec(v, rhs.shape());
+            }
+            if !rhs.all_finite() {
+                exclude(&mut diag, i, "non-finite right-hand side ∂L^p/∂X^q".to_string());
+                continue;
+            }
+            if rhs.norm() < 1e-12 {
+                continue; // the leader loss does not see this follower: no correction
+            }
+            solvable.push(i);
+            shapes.push(rhs.shape().to_vec());
+            rhss.push(rhs.to_vec());
+        }
 
-            // Phase 4: corrections ξᵢ·∂²L^qᵢ/∂X^p∂X^qᵢ, batched into one
-            // multi-seed backward, then subtracted in follower order.
-            let mut gxis: Vec<Var<'_>> = Vec::new();
-            let mut gxi_followers: Vec<usize> = Vec::new();
-            for (s, sol) in sols.into_iter().enumerate() {
-                let i = solvable[s];
-                cg_spent += sol.iterations;
-                if !sol.usable() {
-                    exclude(
-                        &mut diag,
-                        i,
-                        format!(
-                            "unusable CG solve ({:?} after {} retries)",
-                            sol.status, sol.retries
-                        ),
-                    );
-                    continue;
-                }
-                let xi = tape.constant(Tensor::from_vec(sol.x, &shapes[s]));
-                gxis.push(gqs[i].mul(xi).sum());
-                gxi_followers.push(i);
-            }
-            if !gxis.is_empty() {
-                let corrections = tape.grad_vars_multi(&gxis, &[built.xp]);
-                for (row, &i) in corrections.iter().zip(&gxi_followers) {
-                    let correction = row[0].value();
-                    if !correction.all_finite() {
-                        exclude(&mut diag, i, "non-finite mixed-Hessian correction".to_string());
-                        continue;
-                    }
-                    total = total.zip(&correction, |t, c| t - c);
-                }
-            }
+        // Phase 3: solve ξᵢ·∂²L^qᵢ/∂X^qᵢ² = ∂L^p/∂X^qᵢ matrix-free for every
+        // solvable follower at once (Alg. 1 step 9). Each lockstep CG
+        // iteration takes the HVPs of all still-active followers together:
+        // one multi-seed backward pass (Exact), or central differences of
+        // gradients on freshly built games with follower i perturbed
+        // (FiniteDiff).
+        let sols = if rhss.is_empty() {
+            Vec::new()
         } else {
-            for (i, (&xq_leaf, &lq)) in built.xqs.iter().zip(built.lqs.iter()).enumerate() {
-                // Follower's own update direction (eq. 9), kept on the tape so it
-                // can be differentiated again for the second-order terms.
-                let gq = tape.grad_vars(lq, &[xq_leaf])[0];
-                let gq_val = gq.value();
-                if !gq_val.all_finite() {
-                    // A diverged follower must not poison the round: freeze its
-                    // decision vector and drop its correction, with a diagnostic.
-                    exclude(&mut diag, i, "non-finite follower gradient ∂L^q/∂X^q".to_string());
-                    follower_grads.push(None);
-                    continue;
-                }
-                follower_gnorm += gq_val.norm();
-                follower_grads.push(Some(gq_val));
-
-                // Right-hand side ∂L^p/∂X^qᵢ of the implicit solve.
-                let mut rhs = gp_all[1 + i].value();
-                if faultline::armed() {
-                    let mut v = rhs.to_vec();
-                    faultline::corrupt_slice("mso.follower.rhs", &mut v);
-                    rhs = Tensor::from_vec(v, rhs.shape());
-                }
-                if !rhs.all_finite() {
-                    exclude(&mut diag, i, "non-finite right-hand side ∂L^p/∂X^q".to_string());
-                    continue;
-                }
-                if rhs.norm() < 1e-12 {
-                    continue; // the leader loss does not see this follower: no correction
-                }
-
-                // Solve ξ·∂²L^q/∂X^q² = ∂L^p/∂X^q matrix-free (Alg. 1 step 9).
-                let sol = match cfg.hvp_mode {
-                    HvpMode::Exact => conjugate_gradient(
-                        |v| {
-                            let v_t = Tensor::from_vec(v.to_vec(), rhs.shape());
-                            let vc = tape.constant(v_t);
-                            let gv = gq.mul(vc).sum();
-                            tape.grad(gv, &[xq_leaf]).remove(0).to_vec()
-                        },
-                        rhs.data(),
-                        cfg.cg_iters,
-                        cfg.cg_tol,
-                        cfg.cg_damping,
-                    ),
-                    HvpMode::FiniteDiff => {
-                        let eval_grad = |xq_pert: &Tensor| -> Tensor {
-                            let t2 = Tape::new();
-                            let mut xqs2 = xqs.clone();
-                            xqs2[i] = xq_pert.clone();
-                            let b2 = game.build(&t2, &xp, &xqs2);
-                            t2.grad(b2.lqs[i], &[b2.xqs[i]]).remove(0)
-                        };
-                        conjugate_gradient(
-                            |v| {
-                                let v_t = Tensor::from_vec(v.to_vec(), rhs.shape());
-                                msopds_autograd::hvp::hvp_finite_diff(eval_grad, &xqs[i], &v_t)
-                                    .to_vec()
-                            },
-                            rhs.data(),
-                            cfg.cg_iters,
-                            cfg.cg_tol,
-                            cfg.cg_damping,
-                        )
+            conjugate_gradient_multi(
+                |dirs| {
+                    let dir = |s: usize, v: &[f64]| Tensor::from_vec(v.to_vec(), &shapes[s]);
+                    match cfg.hvp_mode {
+                        HvpMode::Exact => {
+                            let (grads, wrt): (Vec<_>, Vec<_>) = dirs
+                                .iter()
+                                .map(|&(s, _)| (gqs[solvable[s]], built.xqs[solvable[s]]))
+                                .unzip();
+                            let vs = dirs.iter().map(|&(s, v)| dir(s, v)).collect();
+                            let hvs = grad_dot_products(&tape, &grads, vs, &wrt);
+                            hvs.iter().map(Tensor::to_vec).collect()
+                        }
+                        HvpMode::FiniteDiff => dirs
+                            .iter()
+                            .map(|&(s, v)| {
+                                let i = solvable[s];
+                                let eval_grad = |xq_pert: &Tensor| -> Tensor {
+                                    let t2 = Tape::new();
+                                    let mut xqs2 = xqs.clone();
+                                    xqs2[i] = xq_pert.clone();
+                                    let b2 = game.build(&t2, &xp, &xqs2);
+                                    t2.grad(b2.lqs[i], &[b2.xqs[i]]).remove(0)
+                                };
+                                hvp_finite_diff(eval_grad, &xqs[i], &dir(s, v)).to_vec()
+                            })
+                            .collect(),
                     }
-                };
-                cg_spent += sol.iterations;
-                if !sol.usable() {
-                    // CG classified the solve as pathological (NaN operator,
-                    // divergence) even after damped retries: drop the correction
-                    // for this follower rather than subtracting garbage.
-                    exclude(
-                        &mut diag,
-                        i,
-                        format!(
-                            "unusable CG solve ({:?} after {} retries)",
-                            sol.status, sol.retries
-                        ),
-                    );
-                    continue;
-                }
+                },
+                &rhss,
+                cfg.cg_iters,
+                cfg.cg_tol,
+                cfg.cg_damping,
+            )
+        };
 
-                // Correction ξ·∂²L^qᵢ/∂X^p∂X^qᵢ via one more backward pass
-                // (Alg. 1 step 10): differentiate ⟨∂L^q/∂X^q, ξ⟩ w.r.t. X^p.
-                let xi = tape.constant(Tensor::from_vec(sol.x, rhs.shape()));
-                let gxi = gq.mul(xi).sum();
-                let correction = tape.grad(gxi, &[built.xp]).remove(0);
-                if !correction.all_finite() {
-                    exclude(&mut diag, i, "non-finite mixed-Hessian correction".to_string());
-                    continue;
-                }
-                total = total.zip(&correction, |t, c| t - c);
+        // Phase 4: corrections ξᵢ·∂²L^qᵢ/∂X^p∂X^qᵢ (Alg. 1 step 10), i.e.
+        // ⟨∂L^qᵢ/∂X^qᵢ, ξᵢ⟩ differentiated w.r.t. X^p in one multi-seed
+        // backward, then subtracted in follower order.
+        let mut corrected: Vec<usize> = Vec::new();
+        let mut xis: Vec<Tensor> = Vec::new();
+        for (s, sol) in sols.into_iter().enumerate() {
+            let i = solvable[s];
+            cg_spent += sol.iterations;
+            if !sol.usable() {
+                // CG classified the solve as pathological (NaN operator,
+                // divergence) even after damped retries: drop the correction
+                // for this follower rather than subtracting garbage.
+                exclude(
+                    &mut diag,
+                    i,
+                    format!("unusable CG solve ({:?} after {} retries)", sol.status, sol.retries),
+                );
+                continue;
             }
+            corrected.push(i);
+            xis.push(Tensor::from_vec(sol.x, &shapes[s]));
+        }
+        let grads: Vec<Var<'_>> = corrected.iter().map(|&i| gqs[i]).collect();
+        let corrections = grad_dot_products(&tape, &grads, xis, &vec![built.xp; grads.len()]);
+        for (correction, i) in corrections.into_iter().zip(corrected) {
+            if !correction.all_finite() {
+                exclude(&mut diag, i, "non-finite mixed-Hessian correction".to_string());
+                continue;
+            }
+            total = total.zip(&correction, |t, c| t - c);
         }
 
         diag.leader_grad_norm.push(total.norm());
@@ -596,12 +492,12 @@ mod tests {
         assert!((run.xp.item() - xp_star).abs() < 2e-3, "got {}", run.xp.item());
     }
 
-    // ---- batched multi-RHS solves (ISSUE 6): bitwise parity ----
+    // ---- one correction path: pinned runs, FiniteDiff oracle ----
 
     /// Cross-coupled two-follower game: each follower's loss also touches the
-    /// *other* follower's variable, so the batched multi-seed backward must
-    /// keep the adjoint streams strictly separate (a summed-loss shortcut
-    /// would leak cross-Hessian terms here).
+    /// *other* follower's variable, so the multi-seed backward must keep the
+    /// adjoint streams strictly separate (a summed-loss shortcut would leak
+    /// cross-Hessian terms here).
     struct Coupled;
     impl StackelbergGame for Coupled {
         fn build<'t>(&self, tape: &'t Tape, xp: &Tensor, xqs: &[Tensor]) -> BuiltGame<'t> {
@@ -616,87 +512,96 @@ mod tests {
         }
     }
 
-    fn assert_runs_bitwise_eq(batched: &MsoRun, sequential: &MsoRun) {
-        let bits = |t: &Tensor| t.to_vec().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
-        assert_eq!(bits(&batched.xp), bits(&sequential.xp), "leader decision");
-        for (i, (b, s)) in batched.xqs.iter().zip(sequential.xqs.iter()).enumerate() {
-            assert_eq!(bits(b), bits(s), "follower {i} decision");
+    /// One healthy follower plus one whose gradient is non-finite from the
+    /// start.
+    struct HalfBad;
+    impl StackelbergGame for HalfBad {
+        fn build<'t>(&self, tape: &'t Tape, xp: &Tensor, xqs: &[Tensor]) -> BuiltGame<'t> {
+            let xpv = tape.leaf(xp.clone());
+            let q1 = tape.leaf(xqs[0].clone());
+            let q2 = tape.leaf(xqs[1].clone());
+            let lp = xpv.add_scalar(-1.0).square().add(xpv.mul(q1.add(q2)).scale(0.1)).sum();
+            let lq1 = q1.sub(xpv.scale(0.5)).square().sum();
+            let lq2 = q2.ln().sum(); // gradient 1/x_q2 = ∞ at x_q2 = 0
+            BuiltGame { xp: xpv, xqs: vec![q1, q2], lp, lqs: vec![lq1, lq2] }
         }
-        let (db, ds) = (&batched.diagnostics, &sequential.diagnostics);
-        let fbits = |xs: &[f64]| xs.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
-        assert_eq!(fbits(&db.leader_loss), fbits(&ds.leader_loss), "leader loss");
-        assert_eq!(db.follower_loss, ds.follower_loss, "follower losses");
-        assert_eq!(fbits(&db.leader_grad_norm), fbits(&ds.leader_grad_norm), "‖dLp/dXp‖");
-        assert_eq!(fbits(&db.follower_grad_norm), fbits(&ds.follower_grad_norm), "‖gq‖");
-        assert_eq!(db.cg_iterations, ds.cg_iterations, "CG iterations per round");
-        assert_eq!(db.exclusions.len(), ds.exclusions.len(), "exclusion count");
-        assert_eq!(db.leader_skips, ds.leader_skips, "leader skips");
     }
 
-    #[test]
-    fn batched_solves_bitwise_match_sequential_cross_coupled() {
-        let seq_cfg = MsoConfig {
-            eta_p: 0.03,
-            eta_q: 0.3,
-            iters: 30,
-            batch_solves: false,
-            ..Default::default()
-        };
-        let bat_cfg = MsoConfig { batch_solves: true, ..seq_cfg };
-        let x0 = Tensor::scalar(0.1);
+    fn run_coupled(hvp_mode: HvpMode) -> MsoRun {
+        let cfg = MsoConfig { eta_p: 0.03, eta_q: 0.3, iters: 30, hvp_mode, ..Default::default() };
         let q0 = vec![Tensor::scalar(0.2), Tensor::scalar(-0.1)];
-        let sequential = mso_optimize(&Coupled, x0.clone(), q0.clone(), &seq_cfg);
-        let batched = mso_optimize(&Coupled, x0, q0, &bat_cfg);
-        assert_runs_bitwise_eq(&batched, &sequential);
-        assert!(batched.xp.item().is_finite());
+        mso_optimize(&Coupled, Tensor::scalar(0.1), q0, &cfg)
     }
 
-    #[test]
-    fn batched_solves_bitwise_match_sequential_with_exclusions() {
-        // One healthy follower plus one whose gradient is non-finite from the
-        // start: the batched screening must drop the same follower with the
-        // same reason and still match the healthy follower's solve bitwise.
-        struct HalfBad;
-        impl StackelbergGame for HalfBad {
-            fn build<'t>(&self, tape: &'t Tape, xp: &Tensor, xqs: &[Tensor]) -> BuiltGame<'t> {
-                let xpv = tape.leaf(xp.clone());
-                let q1 = tape.leaf(xqs[0].clone());
-                let q2 = tape.leaf(xqs[1].clone());
-                let lp = xpv.add_scalar(-1.0).square().add(xpv.mul(q1.add(q2)).scale(0.1)).sum();
-                let lq1 = q1.sub(xpv.scale(0.5)).square().sum();
-                let lq2 = q2.ln().sum(); // gradient 1/x_q2 = ∞ at x_q2 = 0
-                BuiltGame { xp: xpv, xqs: vec![q1, q2], lp, lqs: vec![lq1, lq2] }
-            }
-        }
-        let seq_cfg = MsoConfig {
-            eta_p: 0.05,
-            eta_q: 0.4,
-            iters: 8,
-            batch_solves: false,
-            ..Default::default()
-        };
-        let bat_cfg = MsoConfig { batch_solves: true, ..seq_cfg };
+    fn run_half_bad(hvp_mode: HvpMode) -> MsoRun {
+        let cfg = MsoConfig { eta_p: 0.05, eta_q: 0.4, iters: 8, hvp_mode, ..Default::default() };
         let q0 = vec![Tensor::scalar(0.0), Tensor::scalar(0.0)];
-        let sequential = mso_optimize(&HalfBad, Tensor::scalar(0.0), q0.clone(), &seq_cfg);
-        let batched = mso_optimize(&HalfBad, Tensor::scalar(0.0), q0, &bat_cfg);
-        assert_runs_bitwise_eq(&batched, &sequential);
-        assert_eq!(batched.diagnostics.exclusions.len(), 8);
-        assert!(batched.diagnostics.exclusions[0].reason.contains("non-finite follower gradient"));
-        assert_eq!(batched.xqs[1].item(), 0.0, "excluded follower stays frozen");
+        mso_optimize(&HalfBad, Tensor::scalar(0.0), q0, &cfg)
+    }
+
+    /// FNV-1a 64 over the bits of the final decisions, then the per-round
+    /// leader loss, total-derivative norm, follower losses, follower-gradient
+    /// norm and leader skips. The pinned digests were recorded from the
+    /// per-follower sequential correction loop this path replaced (bitwise
+    /// equal to the batched loop under Exact, and the only loop FiniteDiff
+    /// had).
+    fn run_digest(run: &MsoRun) -> u64 {
+        let d = &run.diagnostics;
+        let xs = std::iter::once(&run.xp).chain(&run.xqs).flat_map(|t| t.to_vec());
+        let values = xs
+            .chain(d.leader_loss.iter().copied())
+            .chain(d.leader_grad_norm.clone())
+            .chain(d.follower_loss.concat())
+            .chain(d.follower_grad_norm.clone())
+            .chain(d.leader_skips.iter().map(|&s| s as f64));
+        values
+            .flat_map(|v| v.to_bits().to_le_bytes())
+            .fold(0xcbf2_9ce4_8422_2325, |h, b| (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3))
     }
 
     #[test]
-    fn batched_is_default_and_matches_two_follower_equilibrium() {
-        // The default config batches; the analytic TwoFollower equilibrium
-        // must still be reached (same check as the sequential test above).
+    fn cross_coupled_run_is_pinned() {
+        let run = run_coupled(HvpMode::Exact);
+        assert_eq!(run_digest(&run), 0x02ad_c0e9_b138_6392);
+        assert_eq!(run.diagnostics.cg_iterations, vec![2; 30]);
+        assert!(run.diagnostics.exclusions.is_empty());
+    }
+
+    #[test]
+    fn run_with_exclusions_is_pinned() {
+        let run = run_half_bad(HvpMode::Exact);
+        assert_eq!(run_digest(&run), 0xef7a_5d6b_90fc_1cfe);
+        assert_eq!(run.diagnostics.cg_iterations, vec![0, 1, 1, 1, 1, 1, 1, 1]);
+        assert_eq!(run.diagnostics.exclusions.len(), 8);
+        assert!(run.diagnostics.exclusions[0].reason.contains("non-finite follower gradient"));
+        assert_eq!(run.xqs[1].item(), 0.0, "excluded follower stays frozen");
+    }
+
+    #[test]
+    fn finite_diff_agrees_with_exact_on_cross_coupled_game() {
+        let (exact, fd) = (run_coupled(HvpMode::Exact), run_coupled(HvpMode::FiniteDiff));
+        assert!((exact.xp.item() - fd.xp.item()).abs() < 1e-4);
+        for (e, f) in exact.xqs.iter().zip(&fd.xqs) {
+            assert!((e.item() - f.item()).abs() < 1e-4);
+        }
+        assert_eq!(run_digest(&fd), 0x02b6_7347_4ec5_61eb);
+    }
+
+    #[test]
+    fn finite_diff_excludes_the_diverged_follower() {
+        let run = run_half_bad(HvpMode::FiniteDiff);
+        let excl = &run.diagnostics.exclusions;
+        assert_eq!(excl.len(), 8);
+        assert!(excl.iter().all(|e| e.follower == 1 && e.reason.contains("non-finite follower")));
+        assert_eq!(run.xqs[1].item(), 0.0, "excluded follower stays frozen");
+        assert_eq!(run_digest(&run), 0x84ed_c9dc_eb06_492f);
+    }
+
+    #[test]
+    fn cross_coupled_game_reaches_a_finite_equilibrium() {
         let cfg = MsoConfig { eta_p: 0.04, eta_q: 0.4, iters: 500, ..Default::default() };
-        assert!(cfg.batch_solves, "batching is opt-out");
-        let run = mso_optimize(
-            &Coupled,
-            Tensor::scalar(0.0),
-            vec![Tensor::scalar(0.0), Tensor::scalar(0.0)],
-            &cfg,
-        );
+        let q0 = vec![Tensor::scalar(0.0), Tensor::scalar(0.0)];
+        let run = mso_optimize(&Coupled, Tensor::scalar(0.0), q0, &cfg);
         assert!(run.xp.item().is_finite());
         assert!(run.diagnostics.leader_grad_norm.last().unwrap().is_finite());
     }

@@ -4,6 +4,7 @@
 //! training run — must match central finite differences of the same
 //! quantity, for every action category.
 
+use msopds_autograd::hvp::hvp_exact;
 use msopds_autograd::ndiff::numeric_grad;
 use msopds_autograd::{Tape, Tensor};
 use msopds_recdata::{DatasetSpec, PoisonAction};
@@ -282,9 +283,7 @@ fn second_order_hvp_matches_finite_difference_of_pds_gradient() {
         &cfg(),
     );
     let loss = ia_loss(&pds.scores(), &users, target);
-    let g = tape.grad_vars(loss, &[pds.xhats[0]])[0];
-    let vc = tape.constant(v.clone());
-    let hv = tape.grad(g.mul(vc).sum(), &[pds.xhats[0]]).remove(0);
+    let hv = hvp_exact(&tape, loss, pds.xhats[0], &v);
 
     // Finite difference of the gradient.
     let grad_at = |x: &Tensor| -> Tensor {

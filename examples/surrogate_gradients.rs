@@ -9,6 +9,7 @@
 //! cargo run --release --example surrogate_gradients
 //! ```
 
+use msopds::autograd::hvp::grad_dot_products;
 use msopds::autograd::{conjugate_gradient, Tape, Tensor};
 use msopds::core::{build_ca_capacity, CaCapacitySpec};
 use msopds::prelude::*;
@@ -91,9 +92,8 @@ fn main() {
     let rhs = tape.grad(lp, &[pds.xhats[1]]).remove(0);
     let sol = conjugate_gradient(
         |v| {
-            let vc = tape.constant(Tensor::from_vec(v.to_vec(), rhs.shape()));
-            let gv = gq_var.mul(vc).sum();
-            tape.grad(gv, &[pds.xhats[1]]).remove(0).to_vec()
+            let v = Tensor::from_vec(v.to_vec(), rhs.shape());
+            grad_dot_products(&tape, &[gq_var], vec![v], &[pds.xhats[1]]).remove(0).to_vec()
         },
         rhs.data(),
         8,
@@ -104,8 +104,8 @@ fn main() {
         "\nCG solve for ξ: {} iterations, residual {:.3e}, converged = {}",
         sol.iterations, sol.residual, sol.converged
     );
-    let xi = tape.constant(Tensor::from_vec(sol.x, rhs.shape()));
-    let correction = tape.grad(gq_var.mul(xi).sum(), &[pds.xhats[0]]).remove(0);
+    let xi = Tensor::from_vec(sol.x, rhs.shape());
+    let correction = grad_dot_products(&tape, &[gq_var], vec![xi], &[pds.xhats[0]]).remove(0);
     println!(
         "total-derivative correction norm ‖ξ·∂²L^q/∂X̂^p∂X̂^q‖ = {:.3e} (vs ‖∂L^p/∂X̂^p‖ = {:.3e})",
         correction.norm(),
