@@ -260,8 +260,7 @@ impl SparseMatrix {
         while r0 < self.rows {
             let r1 = (r0 + per).min(self.rows);
             let base = self.row_ptr[r0];
-            let row_ptr: Vec<usize> =
-                self.row_ptr[r0..=r1].iter().map(|&p| p - base).collect();
+            let row_ptr: Vec<usize> = self.row_ptr[r0..=r1].iter().map(|&p| p - base).collect();
             let span = self.row_ptr[r0]..self.row_ptr[r1];
             shards.push(SparseMatrix {
                 rows: r1 - r0,

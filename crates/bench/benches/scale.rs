@@ -36,11 +36,7 @@ const CHUNK_ROWS: usize = 65_536;
 
 fn requested_sizes() -> Vec<usize> {
     if let Ok(raw) = std::env::var("MSOPDS_SCALE_SIZES") {
-        return raw
-            .split(',')
-            .filter_map(|s| s.trim().parse().ok())
-            .filter(|&n| n > 0)
-            .collect();
+        return raw.split(',').filter_map(|s| s.trim().parse().ok()).filter(|&n| n > 0).collect();
     }
     if std::env::var("MSOPDS_BENCH_SMOKE").is_ok() {
         vec![FULL_SIZES[0]]

@@ -160,8 +160,11 @@ impl WorldBuilder {
         match &self.mode {
             Mode::Replay => {
                 let world = replay_world(&self.spec, self.seed);
-                let matrix =
-                    RatingMatrix::from_ratings(self.spec.n_users, self.spec.n_items, &world.ratings);
+                let matrix = RatingMatrix::from_ratings(
+                    self.spec.n_users,
+                    self.spec.n_items,
+                    &world.ratings,
+                );
                 let item_graph = build_item_graph(
                     self.spec.n_users,
                     &matrix.raters_per_item(),
@@ -237,9 +240,8 @@ impl WorldBuilder {
         let mut social_edges = Vec::new();
         let mut picked: Vec<usize> = Vec::new();
         for u in range.clone() {
-            let cluster =
-                (keyed_unit(self.seed, PHASE_USER_CLUSTER, u as u64, 0) * spec.n_clusters as f64)
-                    as usize;
+            let cluster = (keyed_unit(self.seed, PHASE_USER_CLUSTER, u as u64, 0)
+                * spec.n_clusters as f64) as usize;
             let cluster = cluster.min(spec.n_clusters - 1);
             let row_start = user_latent.len();
             for k in 0..d {
@@ -264,9 +266,8 @@ impl WorldBuilder {
                     continue;
                 };
                 picked.push(i);
-                let affinity: f64 = (0..d)
-                    .map(|k| user_latent[row_start + k] * t.item_latent[i * d + k])
-                    .sum();
+                let affinity: f64 =
+                    (0..d).map(|k| user_latent[row_start + k] * t.item_latent[i * d + k]).sum();
                 let noise = keyed_gauss(self.seed, PHASE_RATING_NOISE, u as u64, j as u64);
                 let raw = 3.3 + affinity + noise * spec.rating_noise;
                 let stars = raw.round().clamp(1.0, 5.0);

@@ -32,7 +32,9 @@ enum GraphTensorKind {
     SparseAdjacency,
     /// Row-range-sharded CSR adjacency; the shard count is part of the key,
     /// so differently-sharded views of one graph coexist in the cache.
-    ShardedAdjacency { shards: u16 },
+    ShardedAdjacency {
+        shards: u16,
+    },
 }
 
 /// A cached derived structure: a dense tensor or a CSR operand pair.

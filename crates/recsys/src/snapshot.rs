@@ -471,12 +471,7 @@ fn read_header_fields(r: &mut Reader<'_>) -> Result<SnapshotHeader, SnapshotErro
 
 /// Header-region length for the given config / declarations.
 fn header_region_len(config_len: usize, decls: &[TensorDecl]) -> usize {
-    PREFIX_LEN
-        + 4
-        + config_len
-        + 4
-        + decls.iter().map(|d| 35 + d.name.len()).sum::<usize>()
-        + 8
+    PREFIX_LEN + 4 + config_len + 4 + decls.iter().map(|d| 35 + d.name.len()).sum::<usize>() + 8
 }
 
 /// 64-aligned payload offsets and the exact total file length.
@@ -708,13 +703,18 @@ fn parse_header(bytes: &[u8]) -> Result<ParsedHeader, SnapshotError> {
                 ),
             });
         }
-        let end = numel
-            .checked_mul(8)
-            .and_then(|b| offset.checked_add(b))
-            .ok_or_else(|| SnapshotError::Corrupt {
-                context: format!("tensor {name:?} payload extent overflows"),
-            })?;
-        entries.push(DirEntry { name, rank, rows, cols, offset, checksum, payload_start: prev_end });
+        let end = numel.checked_mul(8).and_then(|b| offset.checked_add(b)).ok_or_else(|| {
+            SnapshotError::Corrupt { context: format!("tensor {name:?} payload extent overflows") }
+        })?;
+        entries.push(DirEntry {
+            name,
+            rank,
+            rows,
+            cols,
+            offset,
+            checksum,
+            payload_start: prev_end,
+        });
         prev_end = end;
     }
     let total_len = if entries.is_empty() { header_len } else { prev_end };
@@ -985,9 +985,7 @@ impl MappedSnapshot {
         let e = self.entries.iter().find(|e| e.name == name)?;
         let bytes = &self.backing.bytes()[e.offset..e.end()];
         debug_assert_eq!(bytes.as_ptr() as usize % 8, 0, "section alignment violated");
-        let data = unsafe {
-            std::slice::from_raw_parts(bytes.as_ptr() as *const f64, e.numel())
-        };
+        let data = unsafe { std::slice::from_raw_parts(bytes.as_ptr() as *const f64, e.numel()) };
         Some(TensorView { rank: e.rank, rows: e.rows, cols: e.cols, data })
     }
 
@@ -1430,10 +1428,7 @@ mod tests {
             assert!(mapped.is_zero_copy());
             assert_eq!(mapped.heap_resident_bytes(), 0);
         }
-        assert!(matches!(
-            mapped.require_view("nope"),
-            Err(SnapshotError::MissingTensor { .. })
-        ));
+        assert!(matches!(mapped.require_view("nope"), Err(SnapshotError::MissingTensor { .. })));
         assert_same(&snap, &mapped.to_owned_snapshot());
         // A payload flip is invisible to open() but caught by the opt-in pass.
         let mut bytes = snap.to_bytes();
@@ -1441,10 +1436,7 @@ mod tests {
         bytes[last] ^= 0x40;
         std::fs::write(&path, &bytes).unwrap();
         let tampered = MappedSnapshot::open(&path).unwrap();
-        assert!(matches!(
-            tampered.verify_payloads(),
-            Err(SnapshotError::ChecksumMismatch { .. })
-        ));
+        assert!(matches!(tampered.verify_payloads(), Err(SnapshotError::ChecksumMismatch { .. })));
         std::fs::remove_file(&path).ok();
     }
 
@@ -1475,8 +1467,7 @@ mod tests {
             SnapshotWriter::create(&path, snap.header, &snap.config_json, decls.clone()).unwrap();
         w.write(&[0.0; 4]).unwrap();
         assert!(matches!(w.finish(), Err(SnapshotError::Corrupt { .. })));
-        let mut w =
-            SnapshotWriter::create(&path, snap.header, &snap.config_json, decls).unwrap();
+        let mut w = SnapshotWriter::create(&path, snap.header, &snap.config_json, decls).unwrap();
         assert!(matches!(w.write(&[0.0; 9]), Err(SnapshotError::Corrupt { .. })));
         std::fs::remove_file(path.with_extension("snap.tmp")).ok();
     }

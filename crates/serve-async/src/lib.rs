@@ -62,6 +62,6 @@ pub use server::{
 };
 
 pub use msopds_serve::{
-    ScorePrecision, ScoredItem, ServeConfig, ServingModel, Snapshot, SnapshotError,
-    SnapshotSource, SwapError,
+    ScorePrecision, ScoredItem, ServeConfig, ServingModel, Snapshot, SnapshotError, SnapshotSource,
+    SwapError,
 };

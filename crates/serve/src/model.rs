@@ -4,9 +4,7 @@ use std::path::Path;
 use std::sync::{Arc, OnceLock};
 
 use msopds_autograd::{pool, Tensor};
-use msopds_recsys::snapshot::{
-    MappedSnapshot, ModelKind, Snapshot, SnapshotError, SnapshotSource,
-};
+use msopds_recsys::snapshot::{MappedSnapshot, ModelKind, Snapshot, SnapshotError, SnapshotSource};
 use msopds_recsys::Backend;
 
 /// Rows per scoring block in [`ServingModel::top_k_batch`]: 64 rows × a
@@ -121,9 +119,7 @@ impl Store {
     fn data(&self) -> &[f64] {
         match self {
             Store::Owned(t) => t.data(),
-            Store::Mapped { map, name, .. } => {
-                map.view(name).expect("validated at load").data()
-            }
+            Store::Mapped { map, name, .. } => map.view(name).expect("validated at load").data(),
         }
     }
 
@@ -315,9 +311,7 @@ fn check_shapes(
     }
     if b_u != n_users || b_i != n_items {
         return Err(SnapshotError::Corrupt {
-            context: format!(
-                "bias lengths {b_u}/{b_i} disagree with header {n_users}×{n_items}"
-            ),
+            context: format!("bias lengths {b_u}/{b_i} disagree with header {n_users}×{n_items}"),
         });
     }
     Ok(())
@@ -495,10 +489,7 @@ impl ServingModel {
         let d = self.user_f.cols();
         let u = &self.user_f.data()[user * d..(user + 1) * d];
         let q = &self.item_f.data()[item * d..(item + 1) * d];
-        self.mu
-            + self.b_u.get(user)
-            + self.b_i.get(item)
-            + (0..d).map(|k| u[k] * q[k]).sum::<f64>()
+        self.mu + self.b_u.get(user) + self.b_i.get(item) + (0..d).map(|k| u[k] * q[k]).sum::<f64>()
     }
 
     /// Scores every item for a batch of users: returns `[batch, n_items]`.
