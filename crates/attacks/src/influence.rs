@@ -103,7 +103,7 @@ pub fn influence_scores(
                 .map(|hv| hv.to_vec())
                 .collect()
         },
-        &[rhs.clone()],
+        std::slice::from_ref(&rhs),
         cfg.cg_iters,
         cfg.cg_tol,
         cfg.damping,

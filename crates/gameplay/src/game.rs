@@ -141,7 +141,7 @@ pub struct PlayedWorld {
 
 /// Plays steps 1–2 of the protocol (attacker, then sequential opponents) and
 /// returns the poisoned world. Exposed so defenses can intervene before the
-/// victim trains (see [`crate::defense`]).
+/// victim trains (see [`crate::detectors`]).
 pub fn play_world(
     base: &Dataset,
     market: &Market,
@@ -304,14 +304,14 @@ pub fn score_world(
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use msopds_autograd::HvpMode;
     use msopds_core::MsoConfig;
     use msopds_recdata::{sample_market, DatasetSpec, DemographicsSpec};
     use msopds_recsys::pds::PdsConfig;
 
-    fn quick_cfg() -> GameConfig {
+    pub(crate) fn quick_cfg() -> GameConfig {
         let planner = PlannerConfig {
             mso: MsoConfig {
                 iters: 3,
@@ -334,7 +334,7 @@ mod tests {
         }
     }
 
-    fn setup() -> (Dataset, Market) {
+    pub(crate) fn setup() -> (Dataset, Market) {
         let data = DatasetSpec::micro().generate(6);
         let mut rng = rand::rngs::StdRng::seed_from_u64(2);
         let market = sample_market(&data, &DemographicsSpec::default().scaled(8.0), 2, &mut rng);

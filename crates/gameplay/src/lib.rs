@@ -7,17 +7,12 @@
 
 #![warn(missing_docs)]
 
-pub mod defense;
 pub mod detectors;
 pub mod game;
 
-pub use defense::{
-    detect_fakes, detection_quality, run_defended_game, DetectionQuality, DetectorConfig,
-    SuspicionReport,
-};
 pub use detectors::{
-    run_defended_game_with, DegreeOutlierDetector, DetectionReport, Detector, DistMetric,
-    DistributionDetector, ShadowBanPolicy, SpectralDetector,
+    run_defended_game_with, scrub, DegreeOutlierDetector, DetectionReport, Detector, DistMetric,
+    DistributionDetector, ModeratorDetector, ShadowBanPolicy, SpectralDetector,
 };
 pub use game::{
     play_world, ranking_pool, run_game, score_world, AttackMethod, GameConfig, GameOutcome,

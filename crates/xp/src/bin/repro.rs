@@ -5,6 +5,10 @@
 //! [--threads N] [--backend dense|sparse] [--out DIR] [--metrics-out FILE]
 //! [--journal FILE] [--resume] [--retries N] [--snapshot-out FILE]`
 //!
+//! `defense` plays four attacks with and without the `moderator` detector
+//! stage of the shadow-ban pipeline (knob 0 = undefended, knob 1 =
+//! moderated), saved to `defense.json`.
+//!
 //! `matrix` runs the attack × defense zoo (every attack against every
 //! shadow-ban policy spec) and reports an HR@10-lift grid against the
 //! clean None/off corner, saved to `matrix.json`; `--attacks`/`--defenses`

@@ -88,7 +88,6 @@ fn cell(
         game,
         knob,
         label: variant.label.to_string(),
-        defended: false,
         defense: None,
     }
 }
@@ -244,13 +243,13 @@ pub fn defense_cells(cfg: &XpConfig) -> Vec<Cell> {
     ];
     let mut cells = Vec::new();
     for variant in variants {
-        // knob 0 = undefended, knob 1 = defended.
-        for defended in [0.0f64, 1.0] {
+        // knob 0 = undefended, knob 1 = moderated.
+        for knob in [0.0f64, 1.0] {
             for &seed in &cfg.seeds {
-                let mut c = cell(cfg, DatasetKind::Epinions, &variant, seed, defended, |g| {
+                let mut c = cell(cfg, DatasetKind::Epinions, &variant, seed, knob, |g| {
                     g.attacker_b = 5;
                 });
-                c.defended = defended > 0.5;
+                c.defense = (knob > 0.5).then(|| "moderator".to_string());
                 cells.push(c);
             }
         }
@@ -284,11 +283,11 @@ mod tests {
         let cfg = XpConfig::quick();
         let cells = defense_cells(&cfg);
         assert_eq!(cells.len(), 4 * 2 * cfg.seeds.len());
-        let defended = cells.iter().filter(|c| c.defended).count();
+        let defended = cells.iter().filter(|c| c.defense.is_some()).count();
         assert_eq!(defended, cells.len() / 2);
-        // knob encodes the defended flag for reporting.
+        // knob encodes the moderator stage for reporting.
         for c in &cells {
-            assert_eq!(c.defended, c.knob > 0.5);
+            assert_eq!(c.defense.as_deref(), (c.knob > 0.5).then_some("moderator"));
         }
     }
 

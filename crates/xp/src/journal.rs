@@ -35,9 +35,7 @@ pub struct CellKey {
     pub knob_milli: i64,
     /// Game seed.
     pub seed: u64,
-    /// Moderator-defense variant flag.
-    pub defended: bool,
-    /// Detector-pipeline spec for matrix cells (`""` for legacy experiments).
+    /// Detector-pipeline spec (`""` for undefended paper-experiment cells).
     pub defense: String,
 }
 
@@ -50,7 +48,6 @@ impl CellKey {
             method: cell.label.clone(),
             knob_milli: (cell.knob * 1000.0).round() as i64,
             seed: cell.game.seed,
-            defended: cell.defended,
             defense: cell.defense.clone().unwrap_or_default(),
         }
     }
@@ -74,7 +71,8 @@ impl CellKey {
         eat(&[0xff]);
         eat(&self.knob_milli.to_le_bytes());
         eat(&self.seed.to_le_bytes());
-        eat(&[self.defended as u8]);
+        // The retired `defended` flag's byte: keeps every fault plan stable.
+        eat(&[0]);
         eat(&[0xff]);
         eat(self.defense.as_bytes());
         eat(&(attempt as u64).to_le_bytes());
@@ -210,7 +208,6 @@ mod tests {
                 method: "m".into(),
                 knob_milli: 2000,
                 seed,
-                defended: false,
                 defense: String::new(),
             },
             ok: ok.then(|| Measurement {
@@ -289,5 +286,36 @@ mod tests {
         assert_eq!(k1.context_hash(0), k1.context_hash(0));
         let defended = CellKey { defense: "degree".into(), ..k1.clone() };
         assert_ne!(k1.context_hash(0), defended.context_hash(0), "defense axis must reroll");
+    }
+
+    /// The first `table3 --quick` cell, keyed and journaled as the format
+    /// that still carried a `defended` flag wrote it.
+    const FLAGGED_FORMAT_LINE: &str = r#"{"key":{"experiment":"table3","dataset":"Ciao","method":"None","knob_milli":2000,"seed":1,"defended":false,"defense":""},"ok":{"dataset":"Ciao","method":"None","knob":2.0,"defense":"","rbar":3.592336548908501,"hr3":0.0,"hr10":0.0,"seed":1},"err":null}"#;
+
+    #[test]
+    fn context_hash_is_pinned_across_the_retired_defended_flag() {
+        let cell = &crate::table3_cells(&crate::XpConfig::quick())[0];
+        let key = CellKey::of("table3", cell);
+        // Computed with the `defended` field still in place: fault plans
+        // drawn against existing cells keep firing at the same sites.
+        assert_eq!(key.context_hash(0), 0x09f4d2e252fde304);
+    }
+
+    #[test]
+    fn journal_line_with_defended_field_parses_and_resumes() {
+        let path = std::env::temp_dir()
+            .join(format!("msopds-journal-defended-{}.jsonl", std::process::id()));
+        std::fs::write(&path, format!("{FLAGGED_FORMAT_LINE}\n")).unwrap();
+        let cell = crate::table3_cells(&crate::XpConfig::quick())[0].clone();
+        assert_eq!(load_journal(&path).unwrap()[0].key, CellKey::of("table3", &cell));
+        let opts = crate::RunOptions {
+            journal: Some(path.clone()),
+            resume: true,
+            ..crate::RunOptions::for_experiment("table3")
+        };
+        let report = crate::run_cells_with(vec![cell], &crate::XpConfig::quick(), &opts).unwrap();
+        assert_eq!((report.resumed, report.executed), (1, 0));
+        assert_eq!(report.measurements[0].rbar.to_bits(), 3.592336548908501f64.to_bits());
+        std::fs::remove_file(&path).ok();
     }
 }

@@ -93,7 +93,6 @@ pub fn matrix_cells(
                 knob: game.attacker_b as f64,
                 game,
                 label: attack.label.to_string(),
-                defended: false,
                 defense: Some(defense.clone()),
             });
         }

@@ -43,13 +43,10 @@ pub struct Cell {
     pub knob: f64,
     /// Report label (distinguishes ablation variants that share a method name).
     pub label: String,
-    /// Run the moderator defense (detection + shadow ban) before the victim
-    /// trains (the `defense` extension experiment).
-    pub defended: bool,
-    /// Detector-pipeline spec for the attack × defense matrix (e.g. `"off"`,
-    /// `"degree"`, `"degree+spectral"`; see
-    /// [`msopds_gameplay::ShadowBanPolicy::from_spec`]). `None` keeps the
-    /// legacy `defended` semantics.
+    /// Detector-pipeline spec run between the players' moves and the victim's
+    /// retraining (e.g. `"off"`, `"moderator"`, `"degree+spectral"`; see
+    /// [`msopds_gameplay::ShadowBanPolicy::from_spec`]). `None` plays the
+    /// undefended game.
     pub defense: Option<String>,
 }
 
@@ -62,8 +59,8 @@ pub struct Measurement {
     pub method: String,
     /// The experiment's swept knob value.
     pub knob: f64,
-    /// Defense-pipeline spec this cell ran under (`""` for the legacy
-    /// experiments, `"off"`/`"degree"`/… for matrix cells).
+    /// Defense-pipeline spec this cell ran under (`""` for undefended cells
+    /// of the paper experiments, `"off"`/`"degree"`/`"moderator"`/… otherwise).
     pub defense: String,
     /// Average predicted rating r̄.
     pub rbar: f64,
@@ -180,15 +177,6 @@ fn execute_cell(cell: &Cell, cfg: &XpConfig) -> Measurement {
         let policy = msopds_gameplay::ShadowBanPolicy::from_spec(spec)
             .unwrap_or_else(|e| panic!("invalid defense spec {spec:?}: {e}"));
         msopds_gameplay::run_defended_game_with(&data, &market, cell.method, &cell.game, &policy).0
-    } else if cell.defended {
-        msopds_gameplay::run_defended_game(
-            &data,
-            &market,
-            cell.method,
-            &cell.game,
-            &msopds_gameplay::DetectorConfig::default(),
-        )
-        .0
     } else {
         run_game(&data, &market, cell.method, &cell.game)
     };

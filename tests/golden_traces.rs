@@ -361,3 +361,8 @@ fn golden_detector_spectral() {
 fn golden_detector_composed() {
     run_detector_trace("composed", "composed");
 }
+
+#[test]
+fn golden_moderator() {
+    run_detector_trace("moderator", "moderator");
+}
