@@ -1,5 +1,5 @@
-//! Million-user scale sweep (ISSUE 9 tentpole d): streaming world build,
-//! zero-copy snapshot load, and serve throughput at n ∈ {20k, 200k, 1M}.
+//! Million-user scale sweep: streaming world build and zero-copy snapshot
+//! load at n ∈ {20k, 200k, 1M}.
 //!
 //! Nothing here materializes a dense structure: the world is emitted as
 //! row-range `WorldChunk`s (streaming `WorldBuilder` mode — O(n_items +
@@ -11,10 +11,10 @@
 //! exactly that on the smoke run.
 //!
 //! Every row is a one-shot measurement (`iters_per_sample` = 1): the unit
-//! is milliseconds for `*_ms` rows, bytes for `*_bytes` rows, and
-//! users/sec for the serve row. Sizes gated off (smoke mode, opt-out) are
-//! reported as explicit `{"skipped": reason}` rows, never silently
-//! dropped. Set `MSOPDS_BENCH_SMOKE=1` for the 20k-only CI run, or
+//! is milliseconds for `*_ms` rows and bytes for `*_bytes` rows. Sizes
+//! gated off (smoke mode, opt-out) are reported as explicit
+//! `{"skipped": reason}` rows, never silently dropped. Set
+//! `MSOPDS_BENCH_SMOKE=1` for the 20k-only CI run, or
 //! `MSOPDS_SCALE_SIZES=200000` (comma-separated) to pick sizes directly.
 
 use std::time::Instant;
@@ -75,7 +75,7 @@ fn vm_rss_bytes() -> Option<f64> {
 }
 
 /// One full sweep at `n`: streaming build → streamed snapshot → both load
-/// paths → serve throughput. Returns the result rows.
+/// paths. Returns the result rows.
 fn sweep(n: usize, check_parity: bool) -> Vec<BenchResult> {
     let mut rows = Vec::new();
     let spec = spec_for(n);
@@ -183,21 +183,6 @@ fn sweep(n: usize, check_parity: bool) -> Vec<BenchResult> {
         }
     }
     drop(heap);
-
-    // -- Serve: batched exact top-K straight off the mapped model. --------
-    let k = 10;
-    let queries = 2048usize;
-    let stream: Vec<usize> =
-        (0..queries).map(|q| (q.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 7) % n_users).collect();
-    let start = Instant::now();
-    for batch in stream.chunks(64) {
-        std::hint::black_box(mapped.top_k_batch(batch, k));
-    }
-    let served = start.elapsed();
-    rows.push(row(
-        format!("scale/serve_users_per_sec_n{n}"),
-        queries as f64 / served.as_secs_f64(),
-    ));
     drop(mapped);
     std::fs::remove_file(&path).ok();
     rows

@@ -1,10 +1,15 @@
 //! # msopds-bench
 //!
-//! Shared fixtures for the Criterion benchmarks. Each bench target mirrors
-//! one table or figure of the paper (`table3`, `fig6` … `fig9`) at a reduced
-//! scale, plus kernel microbenches (`kernels`, `training`). Every figure
-//! bench prints the measured metric series once per run, so `cargo bench`
-//! output doubles as a reduced regeneration of the paper's series.
+//! Shared fixtures for the Criterion benchmarks. The figure targets mirror
+//! one table or figure of the paper each (`table3`, `fig6` … `fig9`) at a
+//! reduced scale. Beside them sit the kernel microbenches (`kernels`,
+//! `training`), the sparse-vs-dense backend comparison (`sparse`), the f32
+//! scoring and multi-RHS solve comparison (`fastpath`) and the million-user
+//! build and snapshot-load sweep (`scale`). Every figure bench prints the
+//! measured metric series once per run, so `cargo bench` output doubles as
+//! a reduced regeneration of the paper's series. Serving throughput is
+//! measured by perfbench, and its release-mode gates live in
+//! `crates/xp/tests/throughput_gates.rs`.
 
 use msopds_core::{MsoConfig, PlannerConfig};
 use msopds_gameplay::GameConfig;

@@ -5,9 +5,10 @@
 //! arrival pattern of the victim platform the paper's multiplayer game
 //! models — into the large batches the scoring kernels are fast at.
 //!
-//! `BENCH_serve.json` puts batch-1 serving ~6× below batch-1024 throughput;
-//! this crate closes that gap with a **request scheduler** rather than a
-//! faster kernel:
+//! Batch-1 serving runs several times below batch-1024 throughput (the
+//! `batch1024_engine_outserves_batch1` gate in
+//! `crates/xp/tests/throughput_gates.rs`); this crate closes that gap with
+//! a **request scheduler** rather than a faster kernel:
 //!
 //! * [`AsyncServer`] — submit single-user queries, get a [`Ticket`] back;
 //!   one dispatcher thread coalesces pending queries up to a deadline
@@ -24,8 +25,8 @@
 //!   one model's answer (never torn). Rejected swaps leave serving
 //!   untouched.
 //! * [`run_open_loop`] — an open-loop load generator reporting
-//!   p50/p99/p99.9 admission→response latency vs offered load; `--bench
-//!   serve_async` sweeps it into `BENCH_serve_async.json`.
+//!   p50/p99/p99.9 admission→response latency vs offered load; `serve
+//!   load` and perfbench's `serve-cold` workload drive the tier through it.
 //!
 //! ## Fidelity
 //!

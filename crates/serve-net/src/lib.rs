@@ -25,8 +25,8 @@
 //!   under load to pin that identity.
 //! * [`client`] — [`NetClient`], blocking request/response with
 //!   deterministic capped-exponential-backoff reconnects (resubmit only for
-//!   idempotent queries), plus a pipelined windowed driver for the
-//!   multi-process loopback bench (`--bench serve_net`).
+//!   idempotent queries), plus the pipelined windowed driver behind
+//!   `serve connect`, so load generation scales with client processes.
 //!
 //! Socket-level fault sites (`serve_net.accept`, `serve_net.read`,
 //! `serve_net.write`, `serve_net.conn`, `serve_net.write.delay`) are

@@ -215,7 +215,7 @@ fn main() {
             "fig7" => (fig7_cells(&cfg), "b_op"),
             "fig8" => (fig8_cells(&cfg), "b"),
             "fig9" => (fig9_cells(&cfg), "b"),
-            "defense" => (msopds_xp::defense_cells(&cfg), "defended"),
+            "defense" => (msopds_xp::defense_cells(&cfg), "moderated"),
             other => {
                 eprintln!("unknown experiment {other}");
                 std::process::exit(2);

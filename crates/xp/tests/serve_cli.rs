@@ -3,14 +3,15 @@
 //! → SIGTERM drain with balanced books, and the exit-code convention
 //! (2 usage or config error, 1 load failure).
 
-use std::io::{BufRead, BufReader};
-use std::path::{Path, PathBuf};
-use std::process::{Command, Output, Stdio};
+mod common;
 
+use std::path::PathBuf;
+
+use common::{path_str, run, run_json, serve, Json, Listener};
 use msopds_autograd::Tensor;
 use msopds_recsys::snapshot::{ModelKind, Snapshot, SnapshotHeader};
 use msopds_recsys::Backend;
-use serde::{DeError, Deserialize, Value};
+use serde::Value;
 
 const USERS: usize = 40;
 
@@ -43,57 +44,6 @@ fn tiny_snapshot(tag: &str) -> PathBuf {
         std::env::temp_dir().join(format!("msopds-serve-cli-{tag}-{}.snap", std::process::id()));
     snap.save(&path).expect("save tiny snapshot");
     path
-}
-
-fn serve(args: &[&str]) -> Command {
-    let mut cmd = Command::new(env!("CARGO_BIN_EXE_serve"));
-    cmd.args(args).env_remove("MSOPDS_FAULT_PLAN");
-    cmd
-}
-
-fn run(args: &[&str]) -> Output {
-    serve(args).output().expect("spawn serve")
-}
-
-/// One stdout JSON object.
-#[derive(Debug)]
-struct Json(Value);
-
-impl Deserialize for Json {
-    fn from_value(v: &Value) -> Result<Self, DeError> {
-        Ok(Json(v.clone()))
-    }
-}
-
-impl Json {
-    fn parse(stdout: &[u8]) -> Self {
-        let text = std::str::from_utf8(stdout).expect("utf-8 stdout");
-        serde_json::from_str(text).expect("stdout is one JSON object")
-    }
-
-    fn int(&self, key: &str) -> u64 {
-        self.0.field(key).as_u64().unwrap_or_else(|| panic!("{key} missing from {self:?}"))
-    }
-
-    fn float(&self, key: &str) -> f64 {
-        self.0.field(key).as_f64().unwrap_or_else(|| panic!("{key} missing from {self:?}"))
-    }
-}
-
-/// Runs a mode that must succeed and returns its stdout JSON.
-fn run_json(args: &[&str]) -> Json {
-    let out = run(args);
-    assert!(
-        out.status.success(),
-        "serve {args:?} exited {:?}: {}",
-        out.status,
-        String::from_utf8_lossy(&out.stderr)
-    );
-    Json::parse(&out.stdout)
-}
-
-fn path_str(p: &Path) -> &str {
-    p.to_str().expect("utf-8 temp path")
 }
 
 #[test]
@@ -144,32 +94,14 @@ fn load_mode_books_balance() {
 #[test]
 fn listen_connect_then_sigterm_drains_balanced() {
     let snap = tiny_snapshot("net");
-    let mut server = serve(&["listen", "127.0.0.1:0", "--snapshot", path_str(&snap)])
-        .stdout(Stdio::piped())
-        .stderr(Stdio::piped())
-        .spawn()
-        .expect("spawn listener");
-    // Scrape the ready line the way CI does: address and user count.
-    let mut log = BufReader::new(server.stderr.take().expect("piped stderr"));
-    let ready = loop {
-        let mut line = String::new();
-        assert!(log.read_line(&mut line).expect("read stderr") > 0, "listener exited early");
-        if line.contains("listening on ") {
-            break line;
-        }
-    };
-    let rest = ready.split("listening on ").nth(1).expect("ready line");
-    let (addr, rest) = rest.split_once(" (").expect("address then user count");
-    let users = rest.split_once(" users").expect("user count").0;
-    assert_eq!(users, USERS.to_string(), "{ready}");
+    let server = Listener::spawn(&snap, &[]);
+    assert_eq!(server.users, USERS.to_string(), "ready line of {}", server.addr);
 
-    let client = run_json(&["connect", addr, "--requests", "2000", "--users", users]);
+    let client =
+        run_json(&["connect", &server.addr, "--requests", "2000", "--users", &server.users]);
     assert_eq!(client.int("completed"), 2000, "{client:?}");
 
-    let killed = Command::new("kill").args(["-TERM", &server.id().to_string()]).status();
-    assert!(killed.expect("run kill").success());
-    std::thread::spawn(move || std::io::copy(&mut log, &mut std::io::sink()));
-    let out = server.wait_with_output().expect("wait for listener");
+    let out = server.sigterm();
     std::fs::remove_file(&snap).ok();
     assert!(out.status.success(), "listener exited {:?}", out.status);
     let r = Json::parse(&out.stdout);
