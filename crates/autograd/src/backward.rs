@@ -7,11 +7,23 @@
 //! second-order derivatives. This is the mechanism behind the Hessian-vector
 //! products of Algorithm 1, step 9 (`ξ ∂²L^q/∂X̂^q² = ∂L^p/∂X̂^q`).
 //!
+//! The scan is pruned to the nodes that can reach a `wrt` node. Before it
+//! starts, one forward pass over the node arena marks `needs[id]`: `id` is
+//! a `wrt` node, or one of its inputs `needs`. The scan visits only nodes
+//! that `need`, and a VJP builds and accumulates a contribution only into
+//! inputs that `need`. Skipping the rest changes no value: a node that
+//! reaches no `wrt` node feeds no adjoint that does, and every consumer of
+//! a node that `needs` `needs` too, so each kept adjoint receives the same
+//! contributions in the same reverse-id order. What is skipped is work the
+//! result never reads: adjoints of constants (a fixed adjacency matrix, a
+//! ReLU mask) and of everything recorded before the earliest `wrt` node,
+//! such as the earlier steps of an unrolled training loop.
+//!
 //! Piecewise-linear activations (`relu`, and the switching mask of `selu`)
 //! treat their activation pattern as a constant, which matches the
 //! almost-everywhere derivative and is the standard convention.
 
-use crate::tape::{Op, Tape, SELU_ALPHA, SELU_LAMBDA};
+use crate::tape::{NodeId, Op, Tape, SELU_ALPHA, SELU_LAMBDA};
 use crate::tensor::Tensor;
 use crate::var::Var;
 
@@ -43,23 +55,26 @@ impl Tape {
         wrt: &[Var<'t>],
     ) -> Vec<Vec<Var<'t>>> {
         let n = outputs.iter().map(|o| o.id + 1).max().unwrap_or(0);
+        let needs = self.needs_mask(n, wrt);
         let mut adjs: Vec<Vec<Option<Var<'t>>>> = Vec::with_capacity(outputs.len());
         for output in outputs {
             let mut adj: Vec<Option<Var<'t>>> = vec![None; n];
-            let out_shape = output.value().shape().to_vec();
-            adj[output.id] = Some(self.constant(Tensor::ones(&out_shape)));
+            if needs[output.id] {
+                let out_shape = output.value().shape().to_vec();
+                adj[output.id] = Some(self.constant(Tensor::ones(&out_shape)));
+            }
             adjs.push(adj);
         }
 
         for id in (0..n).rev() {
-            if adjs.iter().all(|adj| adj[id].is_none()) {
+            if !needs[id] || adjs.iter().all(|adj| adj[id].is_none()) {
                 continue;
             }
             let op = self.op(id);
             let out = Var { tape: self, id };
             for adj in adjs.iter_mut() {
                 if let Some(g) = adj[id] {
-                    self.push_vjps(&op, out, g, adj);
+                    self.push_vjps(&op, out, g, &mut Adjoints { adj, needs: &needs });
                 }
             }
         }
@@ -88,125 +103,137 @@ impl Tape {
         self.grad_vars(out, &wrt_here).into_iter().map(|v| v.value()).collect()
     }
 
-    fn push_vjps<'t>(&'t self, op: &Op, out: Var<'t>, g: Var<'t>, adj: &mut [Option<Var<'t>>]) {
+    /// `needs[id]` for every `id < n`: `id` is one of `wrt`, or an input of
+    /// `id` `needs`. No node before the earliest `wrt` id can qualify, so the
+    /// pass starts there.
+    fn needs_mask(&self, n: usize, wrt: &[Var<'_>]) -> Vec<bool> {
+        let mut needs = vec![false; n];
+        for v in wrt.iter().filter(|v| v.id < n) {
+            needs[v.id] = true;
+        }
+        let start = wrt.iter().map(|v| v.id).min().unwrap_or(n);
+        let nodes = self.nodes.borrow();
+        for id in start..n {
+            if !needs[id] {
+                needs[id] = nodes[id].op.inputs().iter().any(|i| needs[i]);
+            }
+        }
+        needs
+    }
+
+    fn push_vjps<'t>(&'t self, op: &Op, out: Var<'t>, g: Var<'t>, adjs: &mut Adjoints<'_, 't>) {
         use Op::*;
         let var = |id: usize| Var { tape: self, id };
-        let mut acc = |id: usize, c: Var<'t>| {
-            // Contributions always flow to earlier nodes, so `id` is in range.
-            adj[id] = Some(match adj[id] {
-                Some(existing) => existing.add(c),
-                None => c,
-            });
-        };
         match op {
             Leaf { .. } => {}
             Add(a, b) => {
-                acc(*a, g);
-                acc(*b, g);
+                adjs.acc(*a, || g);
+                adjs.acc(*b, || g);
             }
             Sub(a, b) => {
-                acc(*a, g);
-                acc(*b, g.neg());
+                adjs.acc(*a, || g);
+                adjs.acc(*b, || g.neg());
             }
             Mul(a, b) => {
-                acc(*a, g.mul(var(*b)));
-                acc(*b, g.mul(var(*a)));
+                adjs.acc(*a, || g.mul(var(*b)));
+                adjs.acc(*b, || g.mul(var(*a)));
             }
             Div(a, b) => {
-                let bv = var(*b);
-                acc(*a, g.div(bv));
-                acc(*b, g.mul(out).div(bv).neg());
+                adjs.acc(*a, || g.div(var(*b)));
+                adjs.acc(*b, || g.mul(out).div(var(*b)).neg());
             }
-            Neg(a) => acc(*a, g.neg()),
-            AddScalar(a, _) => acc(*a, g),
-            MulScalar(a, c) => acc(*a, g.scale(*c)),
-            PowScalar(a, p) => {
-                let av = var(*a);
-                acc(*a, g.mul(av.pow_scalar(p - 1.0)).scale(*p));
-            }
+            Neg(a) => adjs.acc(*a, || g.neg()),
+            AddScalar(a, _) => adjs.acc(*a, || g),
+            MulScalar(a, c) => adjs.acc(*a, || g.scale(*c)),
+            PowScalar(a, p) => adjs.acc(*a, || g.mul(var(*a).pow_scalar(p - 1.0)).scale(*p)),
             Matmul(a, b) => {
-                let (av, bv) = (var(*a), var(*b));
-                acc(*a, g.matmul(bv.t()));
-                acc(*b, av.t().matmul(g));
+                adjs.acc(*a, || g.matmul(var(*b).t()));
+                adjs.acc(*b, || var(*a).t().matmul(g));
             }
-            Transpose(a) => acc(*a, g.t()),
-            Reshape(a, _) => {
-                let shape = self.value(*a).shape().to_vec();
-                acc(*a, g.reshape(&shape));
-            }
-            Sum(a) => {
-                let shape = self.value(*a).shape().to_vec();
-                acc(*a, g.expand(&shape));
-            }
-            SumRows(a) => {
-                let n = self.value(*a).cols();
-                acc(*a, g.broadcast_cols(n));
-            }
-            SumCols(a) => {
-                let m = self.value(*a).rows();
-                acc(*a, g.broadcast_rows(m));
-            }
-            ExpandScalar(a, _) => acc(*a, g.sum()),
-            BroadcastCols(a, _) => acc(*a, g.sum_rows()),
-            BroadcastRows(a, _) => acc(*a, g.sum_cols()),
+            Transpose(a) => adjs.acc(*a, || g.t()),
+            Reshape(a, _) => adjs.acc(*a, || g.reshape(self.value(*a).shape())),
+            Sum(a) => adjs.acc(*a, || g.expand(self.value(*a).shape())),
+            SumRows(a) => adjs.acc(*a, || g.broadcast_cols(self.value(*a).cols())),
+            SumCols(a) => adjs.acc(*a, || g.broadcast_rows(self.value(*a).rows())),
+            ExpandScalar(a, _) => adjs.acc(*a, || g.sum()),
+            BroadcastCols(a, _) => adjs.acc(*a, || g.sum_rows()),
+            BroadcastRows(a, _) => adjs.acc(*a, || g.sum_cols()),
             GatherRows(a, idx) => {
-                let m = self.value(*a).rows();
-                acc(*a, g.scatter_add_rows(idx.clone(), m));
+                adjs.acc(*a, || g.scatter_add_rows(idx.clone(), self.value(*a).rows()));
             }
-            ScatterAddRows(a, idx, _) => acc(*a, g.gather_rows(idx.clone())),
+            ScatterAddRows(a, idx, _) => adjs.acc(*a, || g.gather_rows(idx.clone())),
             GatherElems(a, idx) => {
-                let n = self.value(*a).numel();
-                acc(*a, g.scatter_add_elems(idx.clone(), n));
+                adjs.acc(*a, || g.scatter_add_elems(idx.clone(), self.value(*a).numel()));
             }
-            ScatterAddElems(a, idx, _) => acc(*a, g.gather_elems(idx.clone())),
+            ScatterAddElems(a, idx, _) => adjs.acc(*a, || g.gather_elems(idx.clone())),
             Spmm(m, transposed, a) => {
                 // ∂(A·x)/∂x applied to g is Aᵀ·g — another Spmm node, so the
                 // gradient stays differentiable (HVPs flip the flag back).
-                acc(*a, crate::sparse::spmm_oriented(m, !transposed, g));
+                adjs.acc(*a, || crate::sparse::spmm_oriented(m, !transposed, g));
             }
             ConcatCols(a, b) => {
                 let na = self.value(*a).cols();
                 let nb = self.value(*b).cols();
-                acc(*a, g.slice_cols(0, na));
-                acc(*b, g.slice_cols(na, na + nb));
+                adjs.acc(*a, || g.slice_cols(0, na));
+                adjs.acc(*b, || g.slice_cols(na, na + nb));
             }
-            SliceCols(a, from, _) => {
-                let total = self.value(*a).cols();
-                acc(*a, g.pad_cols(*from, total));
-            }
+            SliceCols(a, from, _) => adjs.acc(*a, || g.pad_cols(*from, self.value(*a).cols())),
             PadCols(a, from, _) => {
-                let w = self.value(*a).cols();
-                acc(*a, g.slice_cols(*from, from + w));
+                adjs.acc(*a, || g.slice_cols(*from, from + self.value(*a).cols()));
             }
-            Exp(a) => acc(*a, g.mul(out)),
-            Ln(a) => acc(*a, g.div(var(*a))),
-            Sqrt(a) => acc(*a, g.scale(0.5).div(out)),
+            Exp(a) => adjs.acc(*a, || g.mul(out)),
+            Ln(a) => adjs.acc(*a, || g.div(var(*a))),
+            Sqrt(a) => adjs.acc(*a, || g.scale(0.5).div(out)),
             Sigmoid(a) => {
                 // σ' = σ(1-σ)
-                acc(*a, g.mul(out).mul(out.neg().add_scalar(1.0)));
+                adjs.acc(*a, || g.mul(out).mul(out.neg().add_scalar(1.0)));
             }
             Tanh(a) => {
                 // tanh' = 1 - tanh²
-                acc(*a, g.mul(out.square().neg().add_scalar(1.0)));
+                adjs.acc(*a, || g.mul(out.square().neg().add_scalar(1.0)));
             }
-            Relu(a) => {
-                let mask = self.constant(self.value(*a).map(|x| if x > 0.0 { 1.0 } else { 0.0 }));
-                acc(*a, g.mul(mask));
-            }
-            Selu(a) => {
+            Relu(a) => adjs.acc(*a, || g.mul(self.positive_mask(*a))),
+            Selu(a) => adjs.acc(*a, || {
                 // d/dx = λ for x > 0, λ·α·eˣ for x ≤ 0. The mask is the
                 // (constant) activation pattern; the eˣ factor stays
                 // differentiable so second-order terms through the negative
                 // branch are exact.
-                let av = var(*a);
-                let mask = self.constant(self.value(*a).map(|x| if x > 0.0 { 1.0 } else { 0.0 }));
+                let mask = self.positive_mask(*a);
                 let inv_mask = mask.neg().add_scalar(1.0);
                 let deriv = mask
                     .scale(SELU_LAMBDA)
-                    .add(inv_mask.mul(av.exp()).scale(SELU_LAMBDA * SELU_ALPHA));
-                acc(*a, g.mul(deriv));
-            }
+                    .add(inv_mask.mul(var(*a).exp()).scale(SELU_LAMBDA * SELU_ALPHA));
+                g.mul(deriv)
+            }),
         }
+    }
+
+    /// The constant `1` where node `id` is positive, `0` elsewhere: the
+    /// activation pattern of `relu` and `selu`.
+    fn positive_mask(&self, id: NodeId) -> Var<'_> {
+        self.constant(self.value(id).map(|x| if x > 0.0 { 1.0 } else { 0.0 }))
+    }
+}
+
+/// One seed's adjoint array, with the scan's `needs` mask.
+struct Adjoints<'a, 't> {
+    adj: &'a mut [Option<Var<'t>>],
+    needs: &'a [bool],
+}
+
+impl<'t> Adjoints<'_, 't> {
+    /// Adds the contribution `c()` to the adjoint of `id`, building it only
+    /// when `id` needs it.
+    fn acc(&mut self, id: NodeId, c: impl FnOnce() -> Var<'t>) {
+        // Contributions always flow to earlier nodes, so `id` is in range.
+        if !self.needs[id] {
+            return;
+        }
+        let c = c();
+        self.adj[id] = Some(match self.adj[id] {
+            Some(existing) => existing.add(c),
+            None => c,
+        });
     }
 }
 

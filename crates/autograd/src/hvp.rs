@@ -39,6 +39,10 @@ pub enum HvpMode {
 /// `(∂²L/∂x²)·dirs[s]`, and `wrt[s] = y` the mixed product
 /// `dirs[s]ᵀ·∂²L/∂y∂x`. The seeds never mix, so each product is bitwise the
 /// one a separate scan would give.
+///
+/// Only tensors leave this function, so it truncates the tape back to the
+/// length it found: the nodes it recorded return their buffers to the pool,
+/// and a CG loop of many calls runs in the memory of one.
 pub fn grad_dot_products<'t>(
     tape: &'t Tape,
     grads: &[Var<'t>],
@@ -47,10 +51,13 @@ pub fn grad_dot_products<'t>(
 ) -> Vec<Tensor> {
     assert!(grads.len() == dirs.len() && grads.len() == wrt.len(), "one dir and wrt per grad");
     HVP_PRODUCTS.add(grads.len() as u64);
+    let mark = tape.len();
     let seeds: Vec<Var<'t>> =
         grads.iter().zip(dirs).map(|(g, v)| g.mul(tape.constant(v)).sum()).collect();
     let rows = tape.grad_vars_multi(&seeds, wrt);
-    rows.iter().enumerate().map(|(s, row)| row[s].value()).collect()
+    let products = rows.iter().enumerate().map(|(s, row)| row[s].value()).collect();
+    tape.truncate(mark);
+    products
 }
 
 /// Exact Hessian-vector product `(∂²L/∂x²)·v` via double backward.
@@ -157,6 +164,30 @@ mod tests {
         let out = mixed_vjp_exact(&tape, loss, x, y, &v);
         assert!((out.get(0) - 5.0).abs() < 1e-10);
         assert!((out.get(1) + 7.0).abs() < 1e-10);
+    }
+
+    #[test]
+    fn grad_dot_products_gives_back_what_it_records() {
+        // A CG loop calls this once per iteration on one tape: each call must
+        // leave the tape as it found it and repeat the same bits.
+        let tape = Tape::new();
+        let x = tape.leaf(Tensor::from_vec(vec![0.3, -0.7, 1.1], &[3]));
+        let y = tape.leaf(Tensor::from_vec(vec![2.0, 0.5, -1.5], &[3]));
+        let loss = x.exp().mul(y.square()).sum();
+        let g = tape.grad_vars(loss, &[x])[0];
+        let mark = tape.len();
+        let v = Tensor::from_vec(vec![1.0, -2.0, 0.5], &[3]);
+        let run = || grad_dot_products(&tape, &[g, g], vec![v.clone(), v.clone()], &[x, y]);
+        let first = run();
+        assert_eq!(tape.len(), mark);
+        let second = run();
+        assert_eq!(tape.len(), mark);
+        for (a, b) in first.iter().zip(&second) {
+            let bits = |t: &Tensor| t.to_vec().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(a), bits(b));
+        }
+        // Nodes below the mark stay usable.
+        assert_eq!(g.value().to_vec(), tape.grad(loss, &[x])[0].to_vec());
     }
 
     #[test]

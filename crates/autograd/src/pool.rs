@@ -13,9 +13,10 @@
 //!
 //! 2. **A thread-local buffer pool** for `Vec<f64>` tensor storage. The
 //!    unrolled PDS training loop and the CG solve allocate thousands of
-//!    same-shaped gradient buffers per planning call; [`Tape::reset`] and the
-//!    tape drop path return exclusive buffers here so the next iteration
-//!    reuses them instead of hitting the allocator.
+//!    same-shaped gradient buffers per planning call; [`Tape::reset`], the
+//!    tape drop path and the truncation after each batch of Hessian-vector
+//!    products return exclusive buffers here so the next iteration reuses
+//!    them instead of hitting the allocator.
 //!
 //! Callers above this crate set the pool size through their configs
 //! (`GameConfig::kernel_threads`, `XpConfig::threads`, the `repro` binary's

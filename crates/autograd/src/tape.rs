@@ -214,7 +214,15 @@ impl Tape {
     /// [`crate::Var`] from this tape becomes invalid; callers must re-create
     /// leaves afterwards.
     pub fn reset(&self) {
-        for node in self.nodes.borrow_mut().drain(..) {
+        self.truncate(0);
+    }
+
+    /// Drops every node from id `len` on, returning their uniquely-owned
+    /// value buffers to the thread-local pool. Nodes below `len` and the
+    /// [`crate::Var`]s naming them stay valid; a `Var` at or above `len`
+    /// must not be used again.
+    pub(crate) fn truncate(&self, len: usize) {
+        for node in self.nodes.borrow_mut().drain(len..) {
             node.value.reclaim();
         }
     }
@@ -291,9 +299,7 @@ impl Drop for Tape {
     fn drop(&mut self) {
         // Same buffer recycling as `reset`: a dropped tape's uniquely-owned
         // values feed the next tape on this thread.
-        for node in self.nodes.get_mut().drain(..) {
-            node.value.reclaim();
-        }
+        self.truncate(0);
     }
 }
 
@@ -390,16 +396,25 @@ mod tests {
         // Theorem 1's O(|θ|) reverse-mode claim, observed: the backward pass
         // adds at most a constant factor of the forward node count.
         let tape = Tape::new();
-        let x = tape.leaf(Tensor::ones(&[8]));
-        let mut y = x;
+        let x = tape.leaf(Tensor::ones(&[1, 8]));
+        let c = tape.constant(Tensor::full(&[8, 8], 0.1));
+        let mut y = x.matmul(c);
         for _ in 0..20 {
             y = y.sigmoid().add_scalar(0.1);
         }
         let loss = y.sum();
-        let before = tape.len();
+        let before = tape.stats();
         let _ = tape.grad(loss, &[x]);
-        let after = tape.len();
-        assert!(after - before < 8 * before, "backward blow-up: {before} -> {after}");
+        let after = tape.stats();
+        assert!(
+            after.nodes - before.nodes < 8 * before.nodes,
+            "backward blow-up: {} -> {}",
+            before.nodes,
+            after.nodes
+        );
+        // The constant reaches no `wrt` node, so the scan records only x's
+        // adjoint `g·cᵀ` for the product, never the constant's `xᵀ·g`.
+        assert_eq!(after.matmuls - before.matmuls, 1, "adjoint recorded for a constant");
     }
 
     #[test]

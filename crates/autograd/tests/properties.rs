@@ -2,10 +2,12 @@
 //!
 //! The central invariants: analytic gradients equal finite differences on
 //! randomized inputs, adjoint pairs (gather/scatter, concat/slice) satisfy the
-//! inner-product identity, and CG solves random SPD systems.
+//! inner-product identity, CG solves random SPD systems, and pruning the
+//! reverse scan to the requested leaves changes no bit of any gradient.
 
+use msopds_autograd::hvp::grad_dot_products;
 use msopds_autograd::ndiff::numeric_grad;
-use msopds_autograd::{conjugate_gradient, Tape, Tensor};
+use msopds_autograd::{conjugate_gradient, spmm, SparseMatrix, SparseOperand, Tape, Tensor, Var};
 use proptest::prelude::*;
 use std::sync::Arc;
 
@@ -154,6 +156,106 @@ proptest! {
             prop_assert!((hdiag_rowsum.get(i) - expect).abs() < 1e-8);
         }
     }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    #[test]
+    fn pruned_scan_matches_full_scan_bitwise(
+        ops in proptest::collection::vec((0u8..11, 0usize..64, 0usize..64), 4..28),
+        seed in 0u64..u64::MAX,
+        subset in 0u64..u64::MAX,
+    ) {
+        let tape = Tape::new();
+        let (leaves, out) = random_dag(&tape, &ops, seed);
+        let picked: Vec<usize> = (0..leaves.len()).filter(|k| subset >> (k % 64) & 1 == 1).collect();
+        let some: Vec<Var<'_>> = picked.iter().map(|&k| leaves[k]).collect();
+
+        let full = tape.grad_vars(out, &leaves);
+        let pruned = tape.grad_vars(out, &some);
+        for (j, &k) in picked.iter().enumerate() {
+            prop_assert!(same_bits(&pruned[j].value(), &full[k].value()), "first order, leaf {}", k);
+        }
+
+        // Second order through those gradients: ⟨∂out/∂leaf, v⟩ differentiated
+        // w.r.t. another leaf, from the pruned and from the full gradient.
+        let mut fresh = values(seed ^ 0x9e37_79b9);
+        let dirs: Vec<Tensor> = picked.iter().map(|_| fresh(&[4, 3])).collect();
+        let wrt: Vec<Var<'_>> = picked.iter().map(|&k| leaves[(k + 1) % leaves.len()]).collect();
+        let from_full: Vec<Var<'_>> = picked.iter().map(|&k| full[k]).collect();
+        let hv_pruned = grad_dot_products(&tape, &pruned, dirs.clone(), &wrt);
+        let hv_full = grad_dot_products(&tape, &from_full, dirs, &wrt);
+        for (j, (p, f)) in hv_pruned.iter().zip(&hv_full).enumerate() {
+            prop_assert!(same_bits(p, f), "second order, product {}", j);
+        }
+    }
+}
+
+/// A deterministic stream of `[-2, 2)` tensors from `seed`.
+fn values(seed: u64) -> impl FnMut(&[usize]) -> Tensor {
+    let mut state = seed;
+    move |shape| {
+        let data = (0..shape.iter().product::<usize>())
+            .map(|_| {
+                state = state
+                    .wrapping_mul(6_364_136_223_846_793_005)
+                    .wrapping_add(1_442_695_040_888_963_407);
+                (state >> 11) as f64 / (1u64 << 53) as f64 * 4.0 - 2.0
+            })
+            .collect();
+        Tensor::from_vec(data, shape)
+    }
+}
+
+/// Records a random DAG of `[4, 3]` nodes mixing leaves, constants, dense
+/// and sparse products, gather/scatter, activations and division. Returns
+/// its leaves and a scalar output that reads only some of the nodes, so some
+/// leaves and constants sit off the output's path.
+fn random_dag<'t>(
+    tape: &'t Tape,
+    ops: &[(u8, usize, usize)],
+    seed: u64,
+) -> (Vec<Var<'t>>, Var<'t>) {
+    let mut fresh = values(seed);
+    let adjacency = SparseOperand::new(SparseMatrix::from_triplets(
+        4,
+        4,
+        &[(0, 1, 0.5), (1, 0, 0.5), (1, 3, 2.0), (2, 2, 1.0), (3, 0, -0.25)],
+    ));
+    let rows = Arc::new(vec![2usize, 0, 2, 3]);
+    let mut leaves = vec![tape.leaf(fresh(&[4, 3]))];
+    let mut nodes = vec![leaves[0], tape.constant(fresh(&[4, 3]))];
+    for &(code, i, j) in ops {
+        let (a, b) = (nodes[i % nodes.len()], nodes[j % nodes.len()]);
+        let node = match code {
+            0 => {
+                let leaf = tape.leaf(fresh(&[4, 3]));
+                leaves.push(leaf);
+                leaf
+            }
+            1 => tape.constant(fresh(&[4, 3])),
+            2 => a.add(b),
+            3 => a.mul(b).scale(0.5),
+            4 => a.div(b.square().add_scalar(1.0)),
+            5 => a.matmul(tape.constant(fresh(&[3, 3])).scale(0.5)),
+            6 => a.matmul(b.t().matmul(a).scale(0.1)),
+            7 => spmm(&adjacency, a),
+            8 => a.gather_rows(rows.clone()).sub(b),
+            9 => a.scatter_add_rows(rows.clone(), 4).scale(0.5),
+            _ => a.relu().add(b.selu()),
+        };
+        nodes.push(node);
+    }
+    let last = *nodes.last().expect("at least one node");
+    let out =
+        nodes.iter().step_by(3).fold(last.sum(), |acc, n| acc.add(n.square().sum().scale(0.1)));
+    (leaves, out)
+}
+
+fn same_bits(a: &Tensor, b: &Tensor) -> bool {
+    a.shape() == b.shape()
+        && a.to_vec().iter().zip(b.to_vec()).all(|(x, y)| x.to_bits() == y.to_bits())
 }
 
 fn var_of<'t>(tape: &'t Tape, id: usize) -> msopds_autograd::Var<'t> {

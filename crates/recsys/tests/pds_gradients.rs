@@ -306,3 +306,23 @@ fn second_order_hvp_matches_finite_difference_of_pds_gradient() {
         hv_fd.to_vec()
     );
 }
+
+#[test]
+fn pds_unroll_grows_the_tape_by_the_same_amount_every_step() {
+    // Each inner step differentiates the training loss w.r.t. the current
+    // embeddings only. A reverse scan that also walked back through every
+    // earlier step would record more nodes for each step than for the last.
+    let data = DatasetSpec::micro().generate(5);
+    let lens: Vec<usize> = (1..=5)
+        .map(|inner_steps| {
+            let tape = Tape::new();
+            build_pds(&tape, &data, &[], &PdsConfig { inner_steps, ..Default::default() });
+            tape.len()
+        })
+        .collect();
+    let growth: Vec<usize> = lens.windows(2).map(|w| w[1] - w[0]).collect();
+    assert!(
+        growth.windows(2).all(|w| w[0] == w[1]),
+        "tape growth per inner step {growth:?} (lengths {lens:?})"
+    );
+}
