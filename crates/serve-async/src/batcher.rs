@@ -1,23 +1,38 @@
 //! The dynamic batcher's deterministic core.
 //!
-//! [`BatchQueue`] is a *pure state machine*: admission, coalescing and flush
-//! decisions are functions of the operations applied to it and the explicit
-//! `now_ns` timestamps passed in — it never reads a clock, spawns a thread,
-//! or sleeps. The threaded [`crate::AsyncServer`] drives it under a mutex
-//! with a real clock; the unit tests drive it with a [`crate::MockClock`]
-//! and cover every flush path (deadline, max-batch, shutdown) without real
-//! sleeps. Same transitions either way — that is what makes the concurrency
-//! suite deterministic.
+//! [`BatchQueue`] is a *pure state machine*: admission, batch cuts and flush
+//! labels are functions of the operations applied to it and the explicit
+//! inputs passed in (the `now_ns` timestamp, and whether the dispatcher is
+//! shutting down) — it never reads a clock, spawns a thread, or sleeps. The
+//! threaded [`crate::AsyncServer`] drives it under a mutex with a real
+//! clock; the unit tests drive it with a [`crate::MockClock`] and cover
+//! every flush label (full, deadline, shutdown, idle) without real sleeps.
+//! Same transitions either way — that is what makes the concurrency suite
+//! deterministic.
 //!
 //! ## Flush policy
 //!
-//! A query admitted at time `t` is dispatched no later than `t + deadline`
-//! (the batcher's latency contract) and no earlier than whichever comes
-//! first: the queue reaching `max_batch` (a **Full** flush — the throughput
-//! path) or the *oldest* pending query's deadline expiring (a **Deadline**
-//! flush — the latency path; the deadline is armed by the queue's front, so
-//! a stream of arrivals cannot starve the first query by pushing the window
-//! forward). Shutdown flushes whatever remains immediately.
+//! The batcher is *work-conserving*: the dispatcher calls
+//! [`BatchQueue::take`] only when it is idle, and `take` flushes any
+//! non-empty queue at once (at most `max_batch` queries), so no query ever
+//! waits for company while nothing is being scored. Coalescing happens
+//! while the dispatcher is busy: queries that arrive during a running batch
+//! pile up and leave together as the next batch. Under load batches
+//! therefore fill by themselves, and at low load a query pays no coalescing
+//! delay.
+//!
+//! The deadline makes no one wait. It is each query's latency budget, and
+//! it only decides how a flush is counted. Each flush is labelled by the
+//! first rule that holds, in the precedence Full > Deadline > Shutdown >
+//! Idle:
+//!
+//! * **Full** — `max_batch` queries are pending; the flush takes exactly
+//!   `max_batch` and leaves the overflow queued.
+//! * **Deadline** — the *oldest* pending query was admitted at least
+//!   `deadline` ago, i.e. it waited past its budget behind a running batch.
+//! * **Shutdown** — the batcher is draining its remainder.
+//! * **Idle** — none of the above: the usual flush of a lightly loaded
+//!   server.
 //!
 //! ## Admission
 //!
@@ -33,11 +48,12 @@ use std::time::Duration;
 /// Knobs of the dynamic batcher.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct BatcherConfig {
-    /// Maximum time a query may wait for co-batched company before the
-    /// accumulated batch is dispatched anyway.
+    /// A query's latency budget in the queue. It delays no flush; it only
+    /// decides whether a flush is labelled [`FlushReason::Deadline`] (the
+    /// front query waited at least this long).
     pub deadline: Duration,
-    /// Dispatch as soon as this many queries are pending (also the largest
-    /// batch a single dispatch hands the engine).
+    /// The largest batch a single dispatch hands the engine; a flush of
+    /// this many is labelled [`FlushReason::Full`].
     pub max_batch: usize,
     /// Bounded-queue admission cap: offers beyond this many pending queries
     /// are shed with a typed `Overloaded` rejection.
@@ -67,15 +83,19 @@ impl BatcherConfig {
     }
 }
 
-/// Why a batch was dispatched.
+/// How a flush is labelled (first match in the precedence Full > Deadline >
+/// Shutdown > Idle; see the module docs).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum FlushReason {
     /// `max_batch` queries were pending.
     Full,
-    /// The oldest pending query reached its coalescing deadline.
+    /// The oldest pending query had waited past its latency budget.
     Deadline,
     /// The batcher is shutting down and drained its remainder.
     Shutdown,
+    /// None of the above: the dispatcher was free, so the pending queries
+    /// went out at once.
+    Idle,
 }
 
 /// One admitted query waiting for dispatch. `T` is the caller's tag —
@@ -105,10 +125,14 @@ pub struct BatcherCounters {
     pub batches: u64,
     /// Batches dispatched because the queue hit `max_batch`.
     pub flush_full: u64,
-    /// Batches dispatched because the oldest query's deadline expired.
+    /// Batches whose oldest query had waited past its deadline.
     pub flush_deadline: u64,
     /// Batches drained at shutdown.
     pub flush_shutdown: u64,
+    /// Batches no other label applied to: the dispatcher was free and took
+    /// what was pending. `batches == flush_full + flush_deadline +
+    /// flush_shutdown + flush_idle`.
+    pub flush_idle: u64,
     /// Largest queue depth ever observed after an admission.
     pub peak_depth: u64,
 }
@@ -175,46 +199,25 @@ impl<T> BatchQueue<T> {
         Ok(())
     }
 
-    /// When the *current* queue must flush absent new arrivals: the oldest
-    /// pending query's admission time plus the deadline. `None` when empty
-    /// or when the queue is already full enough to flush immediately.
-    pub fn next_deadline_ns(&self) -> Option<u64> {
-        if self.queue.len() >= self.cfg.max_batch {
-            return None;
-        }
-        self.queue.front().map(|p| p.enqueued_ns.saturating_add(self.cfg.deadline_ns()))
-    }
-
-    /// Whether `take` would dispatch at time `now_ns`.
-    pub fn due(&self, now_ns: u64, shutdown: bool) -> bool {
-        if self.queue.is_empty() {
-            return false;
-        }
-        if shutdown || self.queue.len() >= self.cfg.max_batch {
-            return true;
-        }
-        self.next_deadline_ns().is_some_and(|dl| now_ns >= dl)
-    }
-
-    /// Dispatches the next batch if one is due at `now_ns` (see the module
-    /// docs): up to `max_batch` queries in admission order, plus the reason
-    /// the flush fired. Returns `None` when nothing is due yet — the caller
-    /// should sleep until [`BatchQueue::next_deadline_ns`] or the next offer.
+    /// Dispatches the next batch: up to `max_batch` queries in admission
+    /// order, plus the reason the flush is labelled with (see the module
+    /// docs). The caller polls only when its dispatcher is idle, so any
+    /// non-empty queue flushes; `None` means the queue is empty.
     ///
-    /// A `Full` flush of a longer queue leaves the remainder pending; its
-    /// deadline re-arms from the *remaining* front's admission time, so
-    /// overflow queries inherit their own latency budget, not the flushed
-    /// batch's.
+    /// A `Full` flush of a longer queue leaves the remainder pending; the
+    /// next flush's label is judged by the *remaining* front's admission
+    /// time, so overflow queries carry their own latency budget, not the
+    /// flushed batch's.
     pub fn take(&mut self, now_ns: u64, shutdown: bool) -> Option<(Vec<Pending<T>>, FlushReason)> {
-        if !self.due(now_ns, shutdown) {
-            return None;
-        }
+        let front_ns = self.queue.front()?.enqueued_ns;
         let reason = if self.queue.len() >= self.cfg.max_batch {
             FlushReason::Full
-        } else if self.next_deadline_ns().is_some_and(|dl| now_ns >= dl) {
+        } else if now_ns >= front_ns.saturating_add(self.cfg.deadline_ns()) {
             FlushReason::Deadline
-        } else {
+        } else if shutdown {
             FlushReason::Shutdown
+        } else {
+            FlushReason::Idle
         };
         let n = self.queue.len().min(self.cfg.max_batch);
         let batch: Vec<Pending<T>> = self.queue.drain(..n).collect();
@@ -223,6 +226,7 @@ impl<T> BatchQueue<T> {
             FlushReason::Full => self.counters.flush_full += 1,
             FlushReason::Deadline => self.counters.flush_deadline += 1,
             FlushReason::Shutdown => self.counters.flush_shutdown += 1,
+            FlushReason::Idle => self.counters.flush_idle += 1,
         }
         Some((batch, reason))
     }

@@ -11,9 +11,13 @@
 //! a **request scheduler** rather than a faster kernel:
 //!
 //! * [`AsyncServer`] — submit single-user queries, get a [`Ticket`] back;
-//!   one dispatcher thread coalesces pending queries up to a deadline
-//!   (default 200 µs) or `max_batch` (default 1024) and dispatches one
-//!   blocked `serve_batch` for the whole batch.
+//!   one dispatcher thread dispatches one blocked `serve_batch` for
+//!   everything pending (up to `max_batch`, default 1024) the moment it is
+//!   idle. The flush is work-conserving: queries coalesce only while the
+//!   previous batch scores, so batches grow with load and a lone query is
+//!   served at once. The deadline (default 200 µs) is each query's latency
+//!   budget: a batch whose oldest query waited past it is counted as a
+//!   Deadline flush.
 //! * **Admission control** — the pending queue is bounded
 //!   ([`BatcherConfig::queue_cap`]); overload sheds with a typed
 //!   [`ServeAsyncError::Overloaded`] instead of queueing into unbounded
@@ -41,9 +45,10 @@
 //! All time-dependent behavior lives in the pure [`BatchQueue`] state
 //! machine, which reads time only as explicit `now_ns` arguments via the
 //! injectable [`Clock`]. The unit suites drive it with a [`MockClock`] —
-//! deadline-flush, max-batch-flush and shutdown-flush are all covered
-//! without one real sleep, so nothing in CI is timing-flaky. The threaded
-//! [`AsyncServer`] adds only lock/condvar plumbing around that core.
+//! every flush label (full, deadline, shutdown, idle) and its boundary is
+//! covered without one real sleep, so nothing in CI is timing-flaky. The
+//! threaded [`AsyncServer`] adds only lock/condvar plumbing around that
+//! core.
 
 #![warn(missing_docs)]
 

@@ -3,10 +3,11 @@
 //! One dispatcher thread drives the deterministic [`BatchQueue`] core:
 //! clients [`AsyncServer::submit`] single-user queries and get a [`Ticket`]
 //! back immediately (or a typed [`ServeAsyncError::Overloaded`] rejection at
-//! the admission door); the dispatcher coalesces pending queries up to the
-//! configured deadline or `max_batch`, dispatches **one** blocked
-//! `serve_batch` call for the whole coalesced batch, and fulfills every
-//! ticket with its row.
+//! the admission door); whenever the dispatcher is idle it takes everything
+//! pending (up to `max_batch`) at once, dispatches **one** blocked
+//! `serve_batch` call for the whole batch, and fulfills every ticket with
+//! its row. Queries that arrive while a batch is being scored coalesce into
+//! the next one, so batches grow with load and a lone query never waits.
 //!
 //! ## Fidelity
 //!
@@ -30,7 +31,6 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::thread::JoinHandle;
-use std::time::Duration;
 
 use msopds_serve::{
     ScoredItem, ServeConfig, ServeEngine, ServeSummary, ServingModel, SharedServeEngine, Snapshot,
@@ -49,6 +49,7 @@ static BATCHES: Counter = Counter::new("serve_async.batches");
 static FLUSH_FULL: Counter = Counter::new("serve_async.flush.full");
 static FLUSH_DEADLINE: Counter = Counter::new("serve_async.flush.deadline");
 static FLUSH_SHUTDOWN: Counter = Counter::new("serve_async.flush.shutdown");
+static FLUSH_IDLE: Counter = Counter::new("serve_async.flush.idle");
 static SWAPS: Counter = Counter::new("serve_async.swaps");
 static SWAPS_REJECTED: Counter = Counter::new("serve_async.swaps_rejected");
 static QUEUE_PEAK: Gauge = Gauge::new("serve_async.queue_peak");
@@ -61,7 +62,7 @@ static P999_US: Gauge = Gauge::new("serve_async.latency.p999_us");
 /// own configuration (top-K length, hot-user cache, scoring precision).
 #[derive(Clone, Copy, Debug, Default)]
 pub struct AsyncServeConfig {
-    /// Coalescing deadline, max batch, and admission cap.
+    /// Latency budget, max batch, and admission cap.
     pub batcher: BatcherConfig,
     /// The inner [`ServeEngine`] knobs (list length, LRU, precision).
     pub serve: ServeConfig,
@@ -410,14 +411,14 @@ impl AsyncServer {
         let was_empty = q.is_empty();
         match q.offer(user, Arc::clone(&cell), self.inner.clock.now_ns()) {
             Ok(()) => {
-                // Wake the dispatcher only when its wait state changes: the
-                // first query of an empty queue arms the deadline timer, and
-                // a full queue must flush now. In between, the dispatcher is
-                // already sleeping toward the armed deadline — notifying on
-                // every submit would just burn wakeups on the hot path.
-                let flush_now = q.len() >= self.inner.cfg.batcher.max_batch;
+                // The dispatcher sleeps only on an empty queue (or while
+                // paused), so only the empty → non-empty edge can find it
+                // asleep. A submit to a non-empty queue finds it busy (or
+                // paused), and it re-polls the queue before it sleeps again;
+                // notifying on every submit would just burn wakeups on the
+                // hot path.
                 drop(q);
-                if was_empty || flush_now {
+                if was_empty {
                     self.inner.cv.notify_one();
                 }
                 Ok(Ticket { cell })
@@ -596,6 +597,8 @@ fn dispatcher_loop(inner: &Inner) {
             q = inner.cv.wait(q).unwrap_or_else(|poisoned| poisoned.into_inner());
             continue;
         }
+        // The dispatcher polls only between batches, when it is idle:
+        // take() flushes anything pending and declines only an empty queue.
         let now = inner.clock.now_ns();
         if let Some((batch, reason)) = q.take(now, shutting) {
             drop(q);
@@ -604,23 +607,10 @@ fn dispatcher_loop(inner: &Inner) {
             continue;
         }
         if shutting {
-            return; // take() under shutdown only declines when empty
+            return;
         }
-        match q.next_deadline_ns() {
-            // Empty queue: sleep until the next submit arms a deadline.
-            None => q = inner.cv.wait(q).unwrap_or_else(|poisoned| poisoned.into_inner()),
-            Some(deadline) => {
-                let now = inner.clock.now_ns();
-                if deadline <= now {
-                    continue;
-                }
-                let (guard, _timeout) = inner
-                    .cv
-                    .wait_timeout(q, Duration::from_nanos(deadline - now))
-                    .unwrap_or_else(|poisoned| poisoned.into_inner());
-                q = guard;
-            }
-        }
+        // Empty queue: sleep until the next submit.
+        q = inner.cv.wait(q).unwrap_or_else(|poisoned| poisoned.into_inner());
     }
 }
 
@@ -646,6 +636,7 @@ fn dispatch(inner: &Inner, batch: Vec<Pending<Arc<TicketCell>>>, reason: FlushRe
         FlushReason::Full => FLUSH_FULL.incr(),
         FlushReason::Deadline => FLUSH_DEADLINE.incr(),
         FlushReason::Shutdown => FLUSH_SHUTDOWN.incr(),
+        FlushReason::Idle => FLUSH_IDLE.incr(),
     }
     let answers = match answers {
         Ok(answers) => answers,

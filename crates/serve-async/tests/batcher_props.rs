@@ -122,9 +122,11 @@ proptest! {
 
     /// Layer 3: the partitions the real batcher policy emits. A randomized
     /// mock-time schedule interleaves offers with time advances and take
-    /// polls, so the drawn cases exercise deadline flushes, full flushes and
-    /// the final shutdown drain; whatever batches fall out, the scattered
-    /// answers must reconstruct the synchronous reference bit-for-bit.
+    /// polls; a skipped poll stands for a busy dispatcher, so arrivals pile
+    /// up. The drawn cases exercise idle, deadline and full flushes and the
+    /// final shutdown drain; whatever batches fall out, the scattered answers
+    /// must reconstruct the synchronous reference bit-for-bit, and every
+    /// batch must be counted under exactly one flush label.
     #[test]
     fn batcher_policy_cuts_are_bit_identical(
         seed in 0u64..u64::MAX,
@@ -159,7 +161,7 @@ proptest! {
                 // Random inter-arrival gap, occasionally past the deadline.
                 clock.advance_us(splitmix(&mut ss) % (deadline_us * 2 / 3 + 2));
                 q.offer(user, tag, clock.now_ns()).expect("cap covers the stream");
-                // The dispatcher polls whenever it wakes; poll probabilistically.
+                // The dispatcher polls whenever it is free; poll probabilistically.
                 if splitmix(&mut ss) & 1 == 0 {
                     if let Some((batch, _reason)) = q.take(clock.now_ns(), false) {
                         serve(batch, &mut got)?;
@@ -174,6 +176,10 @@ proptest! {
             prop_assert_eq!(c.offered, len as u64);
             prop_assert_eq!(c.accepted, len as u64);
             prop_assert_eq!(c.rejected, 0);
+            prop_assert_eq!(
+                c.batches,
+                c.flush_full + c.flush_deadline + c.flush_shutdown + c.flush_idle
+            );
             for (i, w) in want.iter().enumerate() {
                 let g = got[i].as_ref().expect("every accepted query dispatched");
                 assert_bitwise(g, w, &format!("policy-cut row {i} ({precision})"))?;

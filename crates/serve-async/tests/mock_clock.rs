@@ -1,7 +1,11 @@
-//! Deterministic-time batcher tests: every flush path of the [`BatchQueue`]
+//! Deterministic-time batcher tests: every flush label of the [`BatchQueue`]
 //! core driven by a [`MockClock`], with **zero real sleeps** — time only
-//! moves when a test advances it, so these can never be timing-flaky in CI
-//! (ISSUE 7 satellite: deadline-flush, max-batch-flush, flush-on-shutdown).
+//! moves when a test advances it, so these can never be timing-flaky in CI.
+//!
+//! The batcher is work-conserving: `take` flushes any non-empty queue, and
+//! time decides only the label (Full > Deadline > Shutdown > Idle). These
+//! tests pin the batch cuts, the label boundaries to the nanosecond, and
+//! that the per-label counters sum to `batches`.
 
 use std::time::Duration;
 
@@ -11,68 +15,112 @@ fn cfg(deadline_us: u64, max_batch: usize, queue_cap: usize) -> BatcherConfig {
     BatcherConfig { deadline: Duration::from_micros(deadline_us), max_batch, queue_cap }
 }
 
-#[test]
-fn deadline_flush_fires_exactly_at_the_deadline() {
-    let clock = MockClock::new();
-    let mut q: BatchQueue<usize> = BatchQueue::new(cfg(200, 1024, 64));
-    q.offer(3, 0, clock.now_ns()).unwrap();
+fn users<T>(batch: &[msopds_serve_async::Pending<T>]) -> Vec<usize> {
+    batch.iter().map(|p| p.user).collect()
+}
 
-    // One tick before the deadline: nothing is due.
-    clock.advance_us(199);
-    clock.advance(999);
-    assert!(!q.due(clock.now_ns(), false));
-    assert!(q.take(clock.now_ns(), false).is_none());
-
-    // The final nanosecond arrives: the lone query flushes as Deadline.
-    clock.advance(1);
-    assert_eq!(q.next_deadline_ns(), Some(200_000));
-    let (batch, reason) = q.take(clock.now_ns(), false).expect("due at the deadline");
-    assert_eq!(reason, FlushReason::Deadline);
-    assert_eq!(batch.len(), 1);
-    assert_eq!(batch[0].user, 3);
-    assert_eq!(batch[0].enqueued_ns, 0);
-    assert!(q.is_empty());
-    assert_eq!(q.counters().flush_deadline, 1);
+/// Every dispatched batch carries exactly one flush label.
+fn assert_flush_books<T>(q: &BatchQueue<T>) {
+    let c = q.counters();
+    assert_eq!(
+        c.batches,
+        c.flush_full + c.flush_deadline + c.flush_shutdown + c.flush_idle,
+        "flush counters must sum to batches: {c:?}"
+    );
 }
 
 #[test]
-fn deadline_is_armed_by_the_oldest_query_not_the_newest() {
+fn empty_queue_dispatches_nothing() {
+    let clock = MockClock::new();
+    let mut q: BatchQueue<usize> = BatchQueue::new(cfg(200, 4, 64));
+    assert!(q.take(clock.now_ns(), false).is_none());
+    assert!(q.take(clock.now_ns(), true).is_none(), "shutdown of nothing");
+    clock.advance_us(1_000);
+    assert!(q.take(clock.now_ns(), false).is_none());
+    assert_eq!(q.counters().batches, 0);
+    assert_flush_books(&q);
+}
+
+#[test]
+fn lone_query_flushes_idle_at_its_admission_instant() {
     let clock = MockClock::new();
     let mut q: BatchQueue<usize> = BatchQueue::new(cfg(200, 1024, 64));
-    q.offer(0, 0, clock.now_ns()).unwrap();
-    // A stream of later arrivals must not push the window forward.
-    for i in 1..5usize {
-        clock.advance_us(49);
-        q.offer(i, i, clock.now_ns()).unwrap();
-    }
-    // t = 196µs: the newest query is fresh, but the front's clock rules.
-    assert_eq!(q.next_deadline_ns(), Some(200_000), "front query owns the deadline");
-    assert!(!q.due(clock.now_ns(), false));
-    clock.advance_us(4);
-    let (batch, reason) = q.take(clock.now_ns(), false).expect("oldest query is 200µs old");
-    assert_eq!(reason, FlushReason::Deadline);
-    assert_eq!(batch.len(), 5, "a deadline flush takes everything pending");
+    clock.advance_us(7);
+    q.offer(5, 0, clock.now_ns()).unwrap();
+    // No time passes: the query goes out without waiting for company.
+    let (batch, reason) = q.take(clock.now_ns(), false).expect("idle flush");
+    assert_eq!(reason, FlushReason::Idle);
+    assert_eq!(batch.len(), 1);
+    assert_eq!((batch[0].user, batch[0].enqueued_ns), (5, clock.now_ns()));
+    assert!(q.is_empty());
+    let c = q.counters();
+    assert_eq!((c.batches, c.flush_idle, c.flush_deadline), (1, 1, 0));
+    assert_flush_books(&q);
 }
 
 #[test]
 fn max_batch_flush_fires_without_any_time_passing() {
     let clock = MockClock::new();
     let mut q: BatchQueue<usize> = BatchQueue::new(cfg(200, 4, 64));
-    for i in 0..3usize {
+    for i in 0..6usize {
         q.offer(i, i, clock.now_ns()).unwrap();
-        assert!(!q.due(clock.now_ns(), false), "below max_batch, before deadline");
     }
-    q.offer(3, 3, clock.now_ns()).unwrap();
-    assert!(q.due(clock.now_ns(), false));
-    assert_eq!(q.next_deadline_ns(), None, "a full queue needs no timer");
     let (batch, reason) = q.take(clock.now_ns(), false).expect("full");
-    assert_eq!(reason, FlushReason::Full);
-    assert_eq!(batch.iter().map(|p| p.user).collect::<Vec<_>>(), vec![0, 1, 2, 3]);
-    assert_eq!(q.counters().flush_full, 1);
+    assert_eq!(reason, FlushReason::Full, "Full outranks Idle");
+    assert_eq!(users(&batch), vec![0, 1, 2, 3], "a Full flush takes exactly max_batch");
+    assert_eq!(q.len(), 2, "the overflow stays queued");
+    let (rest, reason) = q.take(clock.now_ns(), false).expect("idle remainder");
+    assert_eq!(reason, FlushReason::Idle);
+    assert_eq!(users(&rest), vec![4, 5]);
+    let c = q.counters();
+    assert_eq!((c.batches, c.flush_full, c.flush_idle), (2, 1, 1));
+    assert_flush_books(&q);
 }
 
 #[test]
-fn full_flush_leaves_overflow_with_its_own_deadline() {
+fn deadline_label_switches_exactly_at_the_front_budget() {
+    let clock = MockClock::new();
+    let mut q: BatchQueue<usize> = BatchQueue::new(cfg(200, 1024, 64));
+    // (wait in ns, expected label): 1 ns before, at, and 1 ns past 200 µs.
+    for (i, (wait_ns, want)) in [
+        (199_999, FlushReason::Idle),
+        (200_000, FlushReason::Deadline),
+        (200_001, FlushReason::Deadline),
+    ]
+    .into_iter()
+    .enumerate()
+    {
+        let admitted = clock.now_ns();
+        q.offer(i, i, admitted).unwrap();
+        clock.advance(wait_ns);
+        let (batch, reason) = q.take(clock.now_ns(), false).expect("non-empty flushes");
+        assert_eq!(reason, want, "front waited {wait_ns} ns");
+        assert_eq!((batch.len(), batch[0].enqueued_ns), (1, admitted));
+    }
+    let c = q.counters();
+    assert_eq!((c.batches, c.flush_idle, c.flush_deadline), (3, 1, 2));
+    assert_flush_books(&q);
+}
+
+#[test]
+fn deadline_label_is_judged_by_the_oldest_query_not_the_newest() {
+    let clock = MockClock::new();
+    let mut q: BatchQueue<usize> = BatchQueue::new(cfg(200, 1024, 64));
+    q.offer(0, 0, clock.now_ns()).unwrap();
+    // A stream of later arrivals must not push the budget forward.
+    for i in 1..5usize {
+        clock.advance_us(50);
+        q.offer(i, i, clock.now_ns()).unwrap();
+    }
+    // t = 200µs: the newest query is fresh, but the front's clock rules.
+    let (batch, reason) = q.take(clock.now_ns(), false).expect("non-empty flushes");
+    assert_eq!(reason, FlushReason::Deadline);
+    assert_eq!(users(&batch), vec![0, 1, 2, 3, 4], "a partial flush takes everything pending");
+    assert_flush_books(&q);
+}
+
+#[test]
+fn overflow_is_judged_by_its_own_admission_time() {
     let clock = MockClock::new();
     let mut q: BatchQueue<usize> = BatchQueue::new(cfg(200, 3, 64));
     for i in 0..3usize {
@@ -84,32 +132,37 @@ fn full_flush_leaves_overflow_with_its_own_deadline() {
     let (batch, reason) = q.take(clock.now_ns(), false).expect("full");
     assert_eq!(reason, FlushReason::Full);
     assert_eq!(batch.len(), 3);
-    // The remainder re-arms from ITS admission time (30µs), not the flushed
-    // front's (0µs): due at 230µs, not 200µs.
-    assert_eq!(q.len(), 1);
-    assert_eq!(q.next_deadline_ns(), Some(230_000));
-    clock.advance_us(199);
-    assert!(q.take(clock.now_ns(), false).is_none());
-    clock.advance_us(1);
-    let (rest, reason) = q.take(clock.now_ns(), false).expect("overflow deadline");
-    assert_eq!(reason, FlushReason::Deadline);
-    assert_eq!(rest[0].user, 3);
+    // The remainder's budget runs from ITS admission (30µs), not the flushed
+    // front's (0µs): 1 ns before 230µs it is still an Idle flush.
+    clock.advance(199_999);
+    let (rest, reason) = q.take(clock.now_ns(), false).expect("overflow");
+    assert_eq!(reason, FlushReason::Idle);
+    assert_eq!(users(&rest), vec![3]);
+    let c = q.counters();
+    assert_eq!((c.batches, c.flush_full, c.flush_idle, c.flush_deadline), (2, 1, 1, 0));
+    assert_flush_books(&q);
 }
 
 #[test]
-fn shutdown_flushes_immediately_before_any_deadline() {
+fn shutdown_outranks_idle_but_not_deadline() {
     let clock = MockClock::new();
     let mut q: BatchQueue<usize> = BatchQueue::new(cfg(200, 1024, 64));
     q.offer(7, 0, clock.now_ns()).unwrap();
     clock.advance_us(1); // far from the 200µs deadline
     q.offer(8, 1, clock.now_ns()).unwrap();
-    assert!(!q.due(clock.now_ns(), false));
     let (batch, reason) = q.take(clock.now_ns(), true).expect("shutdown drains");
     assert_eq!(reason, FlushReason::Shutdown);
-    assert_eq!(batch.len(), 2);
-    assert!(q.is_empty());
+    assert_eq!(users(&batch), vec![7, 8]);
     assert!(q.take(clock.now_ns(), true).is_none(), "nothing left to drain");
-    assert_eq!(q.counters().flush_shutdown, 1);
+
+    // A front past its budget is labelled Deadline even while draining.
+    q.offer(9, 2, clock.now_ns()).unwrap();
+    clock.advance_us(200);
+    let (_, reason) = q.take(clock.now_ns(), true).expect("drain");
+    assert_eq!(reason, FlushReason::Deadline);
+    let c = q.counters();
+    assert_eq!((c.batches, c.flush_shutdown, c.flush_deadline, c.flush_idle), (2, 1, 1, 0));
+    assert_flush_books(&q);
 }
 
 #[test]
@@ -118,36 +171,23 @@ fn shutdown_drains_a_long_queue_in_max_batch_chunks() {
     let mut q: BatchQueue<usize> = BatchQueue::new(cfg(200, 4, 64));
     for i in 0..10usize {
         q.offer(i, i, clock.now_ns()).unwrap();
-        // Consume the Full flushes as the threaded dispatcher would.
-        if let Some((batch, reason)) = q.take(clock.now_ns(), false) {
-            assert_eq!(reason, FlushReason::Full);
-            assert_eq!(batch.len(), 4);
-        }
     }
-    assert_eq!(q.len(), 2);
-    let (batch, reason) = q.take(clock.now_ns(), true).expect("shutdown remainder");
-    assert_eq!(reason, FlushReason::Shutdown);
-    assert_eq!(batch.iter().map(|p| p.user).collect::<Vec<_>>(), vec![8, 9]);
+    let mut chunks = Vec::new();
+    while let Some((batch, reason)) = q.take(clock.now_ns(), true) {
+        chunks.push((users(&batch), reason));
+    }
+    assert_eq!(
+        chunks,
+        vec![
+            (vec![0, 1, 2, 3], FlushReason::Full),
+            (vec![4, 5, 6, 7], FlushReason::Full),
+            (vec![8, 9], FlushReason::Shutdown),
+        ],
+        "Full still cuts exactly max_batch; the remainder is a Shutdown flush"
+    );
     let c = q.counters();
-    assert_eq!((c.flush_full, c.flush_shutdown, c.batches), (2, 1, 3));
-}
-
-#[test]
-fn deadline_rearms_after_the_queue_drains() {
-    let clock = MockClock::new();
-    let mut q: BatchQueue<usize> = BatchQueue::new(cfg(200, 1024, 64));
-    q.offer(0, 0, clock.now_ns()).unwrap();
-    clock.advance_us(200);
-    q.take(clock.now_ns(), false).expect("first deadline flush");
-    assert_eq!(q.next_deadline_ns(), None, "empty queue holds no timer");
-
-    clock.advance_us(1_000);
-    q.offer(1, 1, clock.now_ns()).unwrap();
-    assert_eq!(q.next_deadline_ns(), Some(1_400_000), "fresh deadline from the new arrival");
-    clock.advance_us(200);
-    let (batch, reason) = q.take(clock.now_ns(), false).expect("second deadline flush");
-    assert_eq!(reason, FlushReason::Deadline);
-    assert_eq!(batch[0].user, 1);
+    assert_eq!((c.flush_full, c.flush_shutdown, c.flush_idle, c.batches), (2, 1, 0, 3));
+    assert_flush_books(&q);
 }
 
 #[test]
@@ -170,4 +210,5 @@ fn exact_admission_accounting_at_the_cap() {
     let c = q.counters();
     assert_eq!((c.offered, c.accepted, c.rejected), (12, 9, 3));
     assert_eq!(c.offered, c.accepted + c.rejected, "books always balance");
+    assert_flush_books(&q);
 }

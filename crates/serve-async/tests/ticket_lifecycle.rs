@@ -2,14 +2,15 @@
 //! and every terminal path — shutdown flush, mid-flight hot-swap, rejected
 //! swap — resolves `wait`/`try_take` with an answer or a typed
 //! [`TicketError`](msopds_serve_async::TicketError). Never a hang, never a
-//! poisoned-mutex panic. The injected dispatch-panic path lives in
+//! poisoned-mutex panic. An idle server answers a lone query at once, not
+//! after its coalescing deadline. The injected dispatch-panic path lives in
 //! `ticket_faults.rs`: its drills arm a process-global fault plan, so they
 //! get a binary of their own.
 
 mod common;
 
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use common::{lcg_model, lcg_snapshot};
 use msopds_serve_async::{
@@ -121,4 +122,24 @@ fn try_take_is_nonblocking_while_wait_parks() {
     let n = waiter.join().expect("wait never panics").expect("served");
     assert!(n > 0);
     server.shutdown();
+}
+
+/// The flush is work-conserving: an idle dispatcher sends a lone query at
+/// once instead of holding it for company until its deadline. With a 5 s
+/// deadline, a time-driven flush would block `wait` for 5 s; the 1 s bound
+/// leaves a wide margin for a loaded host.
+#[test]
+fn idle_server_answers_a_lone_query_before_its_deadline() {
+    let mut cfg = cfg(64);
+    cfg.batcher.deadline = Duration::from_secs(5);
+    let server = AsyncServer::start(lcg_model(64, 48, 8, 1.0), cfg);
+    let started = Instant::now();
+    let answer = server.submit(9).unwrap().wait().expect("served");
+    let waited = started.elapsed();
+    assert!(!answer.is_empty());
+    assert!(waited < Duration::from_secs(1), "lone query waited {waited:?} for a 5 s deadline");
+    let stats = server.shutdown();
+    let c = stats.batcher;
+    assert_eq!((c.batches, c.flush_idle, c.flush_deadline), (1, 1, 0));
+    assert_eq!(stats.completed, 1);
 }

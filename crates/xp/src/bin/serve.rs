@@ -281,7 +281,7 @@ fn run_load(opts: &Opts, runtime: &RuntimeConfig) -> Result<(), i32> {
         report.latency.p999_us,
     );
     println!(
-        "{{\"requests\":{},\"offered_qps\":{:.1},\"achieved_qps\":{:.1},\"accepted\":{},\"rejected\":{},\"completed\":{},\"completed_per_sec\":{:.1},\"batches\":{},\"mean_batch_fill\":{:.2},\"deadline_us\":{},\"max_batch\":{},\"queue_cap\":{},\"top_k\":{},\"precision\":\"{}\",\"mean_us\":{:.1},\"p50_us\":{},\"p99_us\":{},\"p999_us\":{},\"cache_hits\":{},\"cache_misses\":{}}}",
+        "{{\"requests\":{},\"offered_qps\":{:.1},\"achieved_qps\":{:.1},\"accepted\":{},\"rejected\":{},\"completed\":{},\"completed_per_sec\":{:.1},\"batches\":{},\"flush_full\":{},\"flush_deadline\":{},\"flush_shutdown\":{},\"flush_idle\":{},\"mean_batch_fill\":{:.2},\"deadline_us\":{},\"max_batch\":{},\"queue_cap\":{},\"top_k\":{},\"precision\":\"{}\",\"mean_us\":{:.1},\"p50_us\":{},\"p99_us\":{},\"p999_us\":{},\"cache_hits\":{},\"cache_misses\":{}}}",
         opts.requests,
         report.offered_qps,
         report.achieved_qps,
@@ -290,6 +290,10 @@ fn run_load(opts: &Opts, runtime: &RuntimeConfig) -> Result<(), i32> {
         report.completed,
         report.completed_per_sec,
         stats.batcher.batches,
+        stats.batcher.flush_full,
+        stats.batcher.flush_deadline,
+        stats.batcher.flush_shutdown,
+        stats.batcher.flush_idle,
         report.mean_batch_fill,
         runtime.deadline_us,
         runtime.max_batch,

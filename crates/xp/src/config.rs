@@ -191,14 +191,14 @@ pub struct RuntimeConfig {
     /// Only the serving front ends consume this — planners and training are
     /// always f64.
     pub precision: ScorePrecision,
-    /// Async-serving coalescing deadline in microseconds (`--deadline-us` /
-    /// `MSOPDS_DEADLINE_US`): how long a submitted query may wait for
-    /// co-batched company. Only the `serve` binary's `load` and `listen`
-    /// modes consume this.
+    /// Async-serving latency budget in microseconds (`--deadline-us` /
+    /// `MSOPDS_DEADLINE_US`). The batcher never holds a query back while
+    /// its dispatcher is idle; a batch whose oldest query waited at least
+    /// this long behind a running batch counts as a deadline flush. Only
+    /// the `serve` binary's `load` and `listen` modes consume this.
     pub deadline_us: u64,
     /// Async-serving max coalesced batch (`--max-batch` /
-    /// `MSOPDS_MAX_BATCH`): the queue flushes as soon as this many queries
-    /// are pending.
+    /// `MSOPDS_MAX_BATCH`): the largest batch one dispatch takes.
     pub max_batch: usize,
     /// Async-serving admission cap (`--queue-cap` / `MSOPDS_QUEUE_CAP`):
     /// offers beyond this many pending queries are shed with a typed
@@ -342,7 +342,7 @@ impl RuntimeConfigBuilder {
         self
     }
 
-    /// Overrides the async-serving coalescing deadline, microseconds.
+    /// Overrides the async-serving latency budget, microseconds.
     pub fn deadline_us(mut self, us: u64) -> Self {
         self.0.deadline_us = us;
         self

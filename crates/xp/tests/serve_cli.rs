@@ -88,6 +88,11 @@ fn load_mode_books_balance() {
     assert!(r.int("p999_us") >= r.int("p99_us"), "{r:?}");
     assert!(r.int("p99_us") >= r.int("p50_us"), "{r:?}");
     assert!(r.float("completed_per_sec") > 0.0 && r.float("mean_batch_fill") >= 1.0, "{r:?}");
+    let flushes: u64 = ["flush_full", "flush_deadline", "flush_shutdown", "flush_idle"]
+        .iter()
+        .map(|k| r.int(k))
+        .sum();
+    assert_eq!(flushes, r.int("batches"), "every batch has one flush reason: {r:?}");
 }
 
 #[cfg(unix)]
