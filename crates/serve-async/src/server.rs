@@ -36,7 +36,7 @@ use msopds_serve::{
     ScoredItem, ServeConfig, ServeEngine, ServeSummary, ServingModel, SharedServeEngine, Snapshot,
     SnapshotError, SnapshotSource, SwapError,
 };
-use msopds_telemetry::{self as telemetry, Counter, Gauge};
+use msopds_telemetry::{self as telemetry, Counter, Gauge, Histogram};
 
 use crate::batcher::{BatchQueue, BatcherConfig, BatcherCounters, FlushReason, Pending};
 use crate::clock::{Clock, SystemClock};
@@ -155,8 +155,10 @@ impl std::fmt::Display for SwapSnapshotError {
 impl std::error::Error for SwapSnapshotError {}
 
 /// Percentile summary of per-request latency (admission → response ready),
-/// microseconds. Percentiles use the nearest-rank convention of
-/// `ServeStats::summarize`.
+/// microseconds, read from the server's fixed-size [`Histogram`]. Count,
+/// mean and max are exact; each percentile is the nearest-rank sample
+/// within the histogram's relative error bound of 1/64 (exact below 64 µs),
+/// and `p50_us <= p99_us <= p999_us <= max_us` always holds.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct LatencyProfile {
     /// Requests measured.
@@ -171,28 +173,6 @@ pub struct LatencyProfile {
     pub p999_us: u64,
     /// Worst observed.
     pub max_us: u64,
-}
-
-impl LatencyProfile {
-    /// Summarizes a set of latency samples (order irrelevant).
-    pub fn from_unsorted(mut samples: Vec<u64>) -> Self {
-        if samples.is_empty() {
-            return Self::default();
-        }
-        samples.sort_unstable();
-        let pct = |p: f64| -> u64 {
-            let idx = ((samples.len() as f64 - 1.0) * p).round() as usize;
-            samples[idx]
-        };
-        Self {
-            count: samples.len() as u64,
-            mean_us: samples.iter().sum::<u64>() as f64 / samples.len() as f64,
-            p50_us: pct(0.50),
-            p99_us: pct(0.99),
-            p999_us: pct(0.999),
-            max_us: *samples.last().expect("non-empty"),
-        }
-    }
 }
 
 /// A point-in-time view of the async tier's accounting. After a drain
@@ -318,7 +298,9 @@ struct Inner {
     failed: AtomicU64,
     swaps: AtomicU64,
     swaps_rejected: AtomicU64,
-    latencies_us: Mutex<Vec<u64>>,
+    /// Admission → response latency of every completed query, µs. Fixed
+    /// size, recorded lock-free by the dispatcher and read live by `stats`.
+    latencies_us: Histogram,
 }
 
 impl Inner {
@@ -371,7 +353,7 @@ impl AsyncServer {
             failed: AtomicU64::new(0),
             swaps: AtomicU64::new(0),
             swaps_rejected: AtomicU64::new(0),
-            latencies_us: Mutex::new(Vec::new()),
+            latencies_us: Histogram::new(),
         });
         let dispatcher = {
             let inner = Arc::clone(&inner);
@@ -514,10 +496,23 @@ impl AsyncServer {
     }
 
     /// A snapshot of the tier's accounting; also publishes the
-    /// `serve_async.*` gauges.
+    /// `serve_async.*` gauges. Safe to call on a running server: it reads
+    /// the latency histogram in place, in time independent of how many
+    /// queries were served, and does not stall the dispatcher. A live read
+    /// already counts the latency of every answered ticket, while
+    /// `completed` is bumped once per batch and may trail by the batch in
+    /// flight; after a drain `latency.count == completed`.
     pub fn stats(&self) -> AsyncStats {
         let batcher = lock_clean(&self.inner.queue).counters();
-        let latency = LatencyProfile::from_unsorted(lock_clean(&self.inner.latencies_us).clone());
+        let h = self.inner.latencies_us.snapshot();
+        let latency = LatencyProfile {
+            count: h.count,
+            mean_us: h.mean(),
+            p50_us: h.quantile(0.50),
+            p99_us: h.quantile(0.99),
+            p999_us: h.quantile(0.999),
+            max_us: h.max,
+        };
         let stats = AsyncStats {
             batcher,
             completed: self.inner.completed.load(Ordering::Relaxed),
@@ -651,12 +646,11 @@ fn dispatch(inner: &Inner, batch: Vec<Pending<Arc<TicketCell>>>, reason: FlushRe
         }
     };
     let done_ns = inner.clock.now_ns();
-    let mut latencies = Vec::with_capacity(batch.len());
+    let n = batch.len() as u64;
     for (pending, answer) in batch.into_iter().zip(answers) {
-        latencies.push(done_ns.saturating_sub(pending.enqueued_ns) / 1_000);
+        inner.latencies_us.record(done_ns.saturating_sub(pending.enqueued_ns) / 1_000);
         pending.tag.fulfill(answer);
     }
-    inner.completed.fetch_add(latencies.len() as u64, Ordering::Relaxed);
-    COMPLETED.add(latencies.len() as u64);
-    lock_clean(&inner.latencies_us).extend(latencies);
+    inner.completed.fetch_add(n, Ordering::Relaxed);
+    COMPLETED.add(n);
 }

@@ -11,8 +11,8 @@ use std::time::Duration;
 
 use common::{lcg_model, splitmix};
 use msopds_serve_async::{
-    AsyncServeConfig, AsyncServer, BatcherConfig, ScorePrecision, ScoredItem, ServeAsyncError,
-    ServeConfig, ServingModel, SystemClock, Ticket,
+    AsyncServeConfig, AsyncServer, AsyncStats, BatcherConfig, ScorePrecision, ScoredItem,
+    ServeAsyncError, ServeConfig, ServingModel, SystemClock, Ticket,
 };
 
 const K: usize = 4;
@@ -87,8 +87,16 @@ fn saturation_sheds_exactly_the_overflow_and_serves_the_rest() {
             "hits + misses + rejected == offered"
         );
         assert_eq!(stats.batcher.peak_depth, queue_cap as u64);
-        assert_eq!(stats.latency.count, stats.completed);
+        assert_latency_books(&stats);
     }
+}
+
+/// After a drain the latency histogram holds one sample per completion and
+/// its percentiles are ordered.
+fn assert_latency_books(stats: &AsyncStats) {
+    let l = stats.latency;
+    assert_eq!(l.count, stats.completed, "one latency sample per completion");
+    assert!(l.p50_us <= l.p99_us && l.p99_us <= l.p999_us && l.p999_us <= l.max_us, "{l:?}");
 }
 
 #[test]
@@ -143,6 +151,7 @@ fn concurrent_submitters_keep_the_books_balanced() {
         stats.engine.cache_hits + stats.engine.cache_misses + stats.batcher.rejected,
         stats.batcher.offered
     );
+    assert_latency_books(&stats);
 }
 
 #[test]

@@ -3,7 +3,8 @@
 //! swap — resolves `wait`/`try_take` with an answer or a typed
 //! [`TicketError`](msopds_serve_async::TicketError). Never a hang, never a
 //! poisoned-mutex panic. An idle server answers a lone query at once, not
-//! after its coalescing deadline. The injected dispatch-panic path lives in
+//! after its coalescing deadline, and reports its latency books while it
+//! runs. The injected dispatch-panic path lives in
 //! `ticket_faults.rs`: its drills arm a process-global fault plan, so they
 //! get a binary of their own.
 
@@ -142,4 +143,29 @@ fn idle_server_answers_a_lone_query_before_its_deadline() {
     let c = stats.batcher;
     assert_eq!((c.batches, c.flush_idle, c.flush_deadline), (1, 1, 0));
     assert_eq!(stats.completed, 1);
+}
+
+/// `stats()` reads the latency histogram in place, so a running server
+/// reports every completion so far without being drained, and keeps
+/// serving afterwards. After the drain the books still match: one latency
+/// sample per completion, percentiles in order.
+#[test]
+fn running_server_reports_its_latency_books_live() {
+    let server = AsyncServer::start(lcg_model(64, 48, 8, 1.0), cfg(64));
+    for round in 1..=3u64 {
+        let tickets: Vec<Ticket> = (0..20).map(|u| server.submit(u).unwrap()).collect();
+        for t in &tickets {
+            t.wait().expect("served");
+        }
+        // The dispatcher records a query's latency before it fulfills the
+        // ticket, so every answered query is on the books; `completed` is
+        // bumped after the whole batch and may still trail here.
+        let live = server.stats();
+        assert_eq!(live.latency.count, 20 * round, "every answered query is on the books");
+    }
+    let stats = server.shutdown();
+    let l = stats.latency;
+    assert_eq!(l.count, stats.completed);
+    assert!(l.p50_us <= l.p99_us && l.p99_us <= l.p999_us && l.p999_us <= l.max_us, "{l:?}");
+    assert!(l.mean_us <= l.max_us as f64, "{l:?}");
 }

@@ -27,6 +27,7 @@ use std::os::fd::AsRawFd;
 use std::time::{Duration, Instant};
 
 use msopds_serve::ScoredItem;
+use msopds_telemetry::Histogram;
 
 use crate::frame::{Frame, FrameDecoder, FrameError, RejectReason};
 use crate::poll::{events, poll_fds, PollFd};
@@ -115,22 +116,24 @@ pub struct PipelineReport {
     pub drained: u64,
     /// Of `rejected`: server-side deadline misses.
     pub rejected_deadline: u64,
-    /// Send→response latency of completed queries, µs, unsorted.
+    /// Send→response latency of completed queries, µs, in arrival order.
+    /// Kept beside [`Self::latency`] because the repository benchmark
+    /// (`perfbench`) pools the raw samples of many drives; it grows by 8
+    /// bytes per completion, so size drives accordingly.
     pub latencies_us: Vec<u64>,
+    /// The same latencies in a fixed-size histogram, which
+    /// [`Self::latency_pct_us`] reads.
+    pub latency: Histogram,
     /// Wall-clock of the whole drive.
     pub elapsed: Duration,
 }
 
 impl PipelineReport {
-    /// Nearest-rank percentile of the completed-query latencies. `p` is a
-    /// fraction (0.0–1.0) and is clamped into that range.
+    /// Nearest-rank percentile of the completed-query latencies, within the
+    /// [`Histogram`] error bound (1/64 of the value; exact below 64 µs).
+    /// `p` is a fraction (0.0–1.0) and is clamped into that range.
     pub fn latency_pct_us(&self, p: f64) -> u64 {
-        if self.latencies_us.is_empty() {
-            return 0;
-        }
-        let mut sorted = self.latencies_us.clone();
-        sorted.sort_unstable();
-        sorted[((sorted.len() as f64 - 1.0) * p.clamp(0.0, 1.0)).round() as usize]
+        self.latency.snapshot().quantile(p)
     }
 }
 
@@ -378,6 +381,7 @@ impl NetClient {
                             report.completed += 1;
                             if let Some(t0) = sent_at.remove(request_id) {
                                 report.latencies_us.push(now_us - t0);
+                                report.latency.record(now_us - t0);
                             }
                         }
                         Frame::Reject { request_id, reason, .. } => {

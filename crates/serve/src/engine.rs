@@ -3,7 +3,7 @@
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use msopds_telemetry::{self as telemetry, Counter, Gauge};
+use msopds_telemetry::{self as telemetry, Counter, Gauge, Histogram};
 
 use crate::lru::LruCache;
 use crate::model::{ScorePrecision, ScoredItem, ServingModel};
@@ -47,25 +47,19 @@ pub struct ServeStats {
     /// a hit or a miss (`cache_hits + cache_misses == queries`); duplicate
     /// missing users within one batch each count a miss but are scored once.
     pub cache_misses: u64,
-    /// Per-batch wall-clock latencies, microseconds.
-    pub latencies_us: Vec<u64>,
+    /// Per-batch wall-clock latencies, microseconds, in a fixed-size
+    /// histogram (15 KB however many batches are served).
+    pub latencies_us: Histogram,
     /// Total wall-clock time inside `serve_batch`.
     pub total_time: Duration,
 }
 
 impl ServeStats {
     /// Condenses the running totals into summary rates and percentiles, and
-    /// publishes them to the telemetry gauges.
+    /// publishes them to the telemetry gauges. Reads the latency histogram
+    /// in place: the cost does not grow with the number of batches served.
     pub fn summarize(&self) -> ServeSummary {
-        let mut sorted = self.latencies_us.clone();
-        sorted.sort_unstable();
-        let pct = |p: f64| -> u64 {
-            if sorted.is_empty() {
-                return 0;
-            }
-            let idx = ((sorted.len() as f64 - 1.0) * p).round() as usize;
-            sorted[idx]
-        };
+        let latency = self.latencies_us.snapshot();
         let secs = self.total_time.as_secs_f64();
         let summary = ServeSummary {
             batches: self.batches,
@@ -78,8 +72,8 @@ impl ServeStats {
             } else {
                 0.0
             },
-            p50_us: pct(0.50),
-            p99_us: pct(0.99),
+            p50_us: latency.quantile(0.50),
+            p99_us: latency.quantile(0.99),
         };
         USERS_PER_SEC.set(summary.users_per_sec);
         P50_US.set(summary.p50_us as f64);
@@ -103,9 +97,11 @@ pub struct ServeSummary {
     pub users_per_sec: f64,
     /// Mean per-batch latency, microseconds.
     pub mean_us: f64,
-    /// Median per-batch latency, microseconds.
+    /// Median per-batch latency, microseconds: the nearest-rank median of
+    /// the batch latencies within the [`Histogram`] error bound (1/64 of
+    /// the value; exact below 64 µs).
     pub p50_us: u64,
-    /// 99th-percentile per-batch latency, microseconds.
+    /// 99th-percentile per-batch latency, microseconds (same bound).
     pub p99_us: u64,
 }
 
@@ -303,7 +299,7 @@ impl ServeEngine {
         self.stats.batches += 1;
         self.stats.queries += users.len() as u64;
         self.stats.cache_misses += miss_slots;
-        self.stats.latencies_us.push(elapsed.as_micros() as u64);
+        self.stats.latencies_us.record(elapsed.as_micros() as u64);
         self.stats.total_time += elapsed;
         BATCHES.incr();
         QUERIES.add(users.len() as u64);

@@ -2,9 +2,9 @@
 //!
 //! Lightweight observability for the MSOPDS attack/training stack:
 //! hierarchical RAII [`span`]s timed on the monotonic clock, process-global
-//! typed [`Counter`]s and [`Gauge`]s, and a sink that renders either a
-//! human-readable tree summary or machine-readable JSON
-//! ([`MetricsReport::to_json`]).
+//! typed [`Counter`]s and [`Gauge`]s, a fixed-size mergeable latency
+//! [`Histogram`], and a sink that renders either a human-readable tree
+//! summary or machine-readable JSON ([`MetricsReport::to_json`]).
 //!
 //! ## Cost model
 //!
@@ -46,13 +46,15 @@
 //!
 //! Spans aggregate per *path* (the `/`-joined stack of active span names on
 //! the current thread), so a loop that enters `mso/iter` twenty times shows
-//! one row with `count = 20` rather than twenty rows. All state is
-//! process-global and thread-safe; per-thread span stacks keep nesting
-//! integrity without cross-thread locking on the enter path.
+//! one row with `count = 20` rather than twenty rows. Each row records its
+//! entry durations into a [`Histogram`], so it also reports p50/p99/max.
+//! All state is process-global and thread-safe; per-thread span stacks keep
+//! nesting integrity without cross-thread locking on the enter path.
 
 #![warn(missing_docs)]
 
 mod counter;
+mod histogram;
 mod json;
 mod report;
 mod span;
@@ -62,6 +64,7 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU8, Ordering};
 
 pub use counter::{Counter, Gauge};
+pub use histogram::{Histogram, HistogramSnapshot, SUB_BITS};
 pub use report::{CounterRow, GaugeRow, MetricsReport, SpanRow};
 pub use span::{current_span_depth, span, SpanGuard};
 

@@ -11,6 +11,13 @@ pub struct SpanRow {
     pub count: u64,
     /// Total wall-clock nanoseconds across all entries.
     pub total_ns: u64,
+    /// Median duration of one entry, nanoseconds (within the
+    /// [`crate::Histogram`] error bound of 1/64).
+    pub p50_ns: u64,
+    /// 99th-percentile duration of one entry, nanoseconds (same bound).
+    pub p99_ns: u64,
+    /// Longest single entry, nanoseconds (exact).
+    pub max_ns: u64,
 }
 
 /// Snapshot of one counter.
@@ -62,7 +69,8 @@ impl MetricsReport {
     ///
     /// ```json
     /// {
-    ///   "spans":    [{"path": "...", "count": 1, "total_ns": 123}],
+    ///   "spans":    [{"path": "...", "count": 1, "total_ns": 123,
+    ///                 "p50_ns": 123, "p99_ns": 123, "max_ns": 123}],
     ///   "counters": [{"name": "...", "value": 42}],
     ///   "gauges":   [{"name": "...", "value": 0.5}]
     /// }
@@ -74,7 +82,10 @@ impl MetricsReport {
             out.push_str(if i == 0 { "\n" } else { ",\n" });
             out.push_str("    {\"path\": ");
             write_str(&mut out, &s.path);
-            out.push_str(&format!(", \"count\": {}, \"total_ns\": {}}}", s.count, s.total_ns));
+            out.push_str(&format!(
+                ", \"count\": {}, \"total_ns\": {}, \"p50_ns\": {}, \"p99_ns\": {}, \"max_ns\": {}}}",
+                s.count, s.total_ns, s.p50_ns, s.p99_ns, s.max_ns
+            ));
         }
         out.push_str("\n  ],\n  \"counters\": [");
         for (i, c) in self.counters.iter().enumerate() {
@@ -133,7 +144,8 @@ impl MetricsReport {
     }
 
     /// Renders the human-readable tree summary: spans indented by depth with
-    /// counts and total milliseconds, followed by counters and gauges.
+    /// counts, total milliseconds and the p50/p99/max of one entry, followed
+    /// by counters and gauges.
     pub fn render_tree(&self) -> String {
         let mut out = String::from("telemetry summary\n");
         if self.spans.is_empty() {
@@ -142,11 +154,15 @@ impl MetricsReport {
         for s in &self.spans {
             let depth = s.path.matches('/').count();
             let name = s.path.rsplit('/').next().unwrap_or(&s.path);
-            let ms = s.total_ns as f64 / 1.0e6;
+            let ms = |ns: u64| ns as f64 / 1.0e6;
             out.push_str(&format!(
-                "  {:indent$}{name}  count={}  total={ms:.3}ms\n",
+                "  {:indent$}{name}  count={}  total={:.3}ms  p50={:.3}ms  p99={:.3}ms  max={:.3}ms\n",
                 "",
                 s.count,
+                ms(s.total_ns),
+                ms(s.p50_ns),
+                ms(s.p99_ns),
+                ms(s.max_ns),
                 indent = depth * 2,
             ));
         }
@@ -167,12 +183,16 @@ impl MetricsReport {
 }
 
 fn parse_span(p: &mut Parser<'_>) -> Result<SpanRow, String> {
-    let mut row = SpanRow { path: String::new(), count: 0, total_ns: 0 };
+    let mut row =
+        SpanRow { path: String::new(), count: 0, total_ns: 0, p50_ns: 0, p99_ns: 0, max_ns: 0 };
     parse_object(p, |key, p| {
         match key {
             "path" => row.path = p.string()?,
             "count" => row.count = p.unsigned()?,
             "total_ns" => row.total_ns = p.unsigned()?,
+            "p50_ns" => row.p50_ns = p.unsigned()?,
+            "p99_ns" => row.p99_ns = p.unsigned()?,
+            "max_ns" => row.max_ns = p.unsigned()?,
             other => return Err(format!("unknown span field {other:?}")),
         }
         Ok(())

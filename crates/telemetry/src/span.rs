@@ -4,26 +4,25 @@
 //! name, and dropping the guard pops it and folds the elapsed time into a
 //! process-global aggregate keyed by the `/`-joined path. A loop that enters
 //! the same span many times therefore produces one row with `count == n`
-//! rather than `n` rows.
+//! rather than `n` rows. Each aggregate is a [`Histogram`] of the entry
+//! durations, so a row reports p50/p99/max besides the count and total.
 
 use std::collections::BTreeMap;
 use std::sync::{Mutex, OnceLock};
 use std::time::Instant;
 
+use crate::histogram::Histogram;
 use crate::report::SpanRow;
 
 thread_local! {
     static STACK: std::cell::RefCell<Vec<&'static str>> = const { std::cell::RefCell::new(Vec::new()) };
 }
 
-#[derive(Default, Clone, Copy)]
-struct SpanAgg {
-    count: u64,
-    total_ns: u64,
-}
+/// Histograms are boxed so the map's nodes stay small.
+type Aggregates = BTreeMap<String, Box<Histogram>>;
 
-fn aggregates() -> &'static Mutex<BTreeMap<String, SpanAgg>> {
-    static AGG: OnceLock<Mutex<BTreeMap<String, SpanAgg>>> = OnceLock::new();
+fn aggregates() -> &'static Mutex<Aggregates> {
+    static AGG: OnceLock<Mutex<Aggregates>> = OnceLock::new();
     AGG.get_or_init(|| Mutex::new(BTreeMap::new()))
 }
 
@@ -79,9 +78,7 @@ impl Drop for SpanGuard {
             return;
         }
         let mut agg = aggregates().lock().unwrap_or_else(|e| e.into_inner());
-        let entry = agg.entry(path).or_default();
-        entry.count += 1;
-        entry.total_ns += elapsed;
+        agg.entry(path).or_default().record(elapsed);
     }
 }
 
@@ -92,7 +89,17 @@ pub(crate) fn rows() -> Vec<SpanRow> {
         .lock()
         .unwrap_or_else(|e| e.into_inner())
         .iter()
-        .map(|(path, agg)| SpanRow { path: path.clone(), count: agg.count, total_ns: agg.total_ns })
+        .map(|(path, hist)| {
+            let h = hist.snapshot();
+            SpanRow {
+                path: path.clone(),
+                count: h.count,
+                total_ns: u64::try_from(h.sum).unwrap_or(u64::MAX),
+                p50_ns: h.quantile(0.50),
+                p99_ns: h.quantile(0.99),
+                max_ns: h.max,
+            }
+        })
         .collect()
 }
 

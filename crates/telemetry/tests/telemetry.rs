@@ -93,6 +93,30 @@ fn span_timing_is_monotonic_and_contained() {
 }
 
 #[cfg(not(feature = "force-off"))]
+#[test]
+fn span_rows_report_ordered_duration_percentiles() {
+    let _l = lock();
+    telemetry::set_enabled(true);
+    telemetry::reset();
+    for i in 0..20u64 {
+        let _s = telemetry::span("varied");
+        std::thread::sleep(std::time::Duration::from_micros(50 * (i % 4)));
+    }
+    let r = telemetry::report();
+    let row = r.span("varied").unwrap();
+    assert_eq!(row.count, 20);
+    assert!(row.p50_ns <= row.p99_ns && row.p99_ns <= row.max_ns, "{row:?}");
+    assert!(row.max_ns >= 150_000, "the longest entry slept 150 µs: {row:?}");
+    assert!(row.max_ns <= row.total_ns, "{row:?}");
+    let tree = r.render_tree();
+    assert!(tree.contains("p50=") && tree.contains("p99=") && tree.contains("max="), "{tree}");
+    let parsed = MetricsReport::from_json(&r.to_json()).unwrap();
+    assert_eq!(parsed.span("varied"), Some(row));
+    telemetry::set_enabled(false);
+    telemetry::reset();
+}
+
+#[cfg(not(feature = "force-off"))]
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
@@ -143,11 +167,15 @@ fn row_strategy() -> impl Strategy<Value = MetricsReport> {
     let path = proptest::collection::vec(0usize..5, 1..4)
         .prop_map(|segs| segs.iter().map(|s| format!("seg{s}")).collect::<Vec<_>>().join("/"));
     let spans = proptest::collection::vec(
-        (path, 0u64..10_000, 0u64..1_000_000_000).prop_map(|(path, count, total_ns)| SpanRow {
-            path,
-            count,
-            total_ns,
-        }),
+        (path, 0u64..10_000, 0u64..1_000_000_000, (0u64..1000, 0u64..1000, 0u64..1_000_000))
+            .prop_map(|(path, count, total_ns, (p50_ns, p99_ns, max_ns))| SpanRow {
+                path,
+                count,
+                total_ns,
+                p50_ns,
+                p99_ns,
+                max_ns,
+            }),
         0..6,
     );
     let counters = proptest::collection::vec(
@@ -184,7 +212,14 @@ proptest! {
 #[test]
 fn json_escapes_special_characters() {
     let report = MetricsReport {
-        spans: vec![SpanRow { path: "we\"ird\\name\nwith\ttabs".into(), count: 1, total_ns: 2 }],
+        spans: vec![SpanRow {
+            path: "we\"ird\\name\nwith\ttabs".into(),
+            count: 1,
+            total_ns: 2,
+            p50_ns: 2,
+            p99_ns: 2,
+            max_ns: 2,
+        }],
         counters: vec![CounterRow { name: "unicode.τ∆".into(), value: 7 }],
         gauges: vec![GaugeRow { name: "g".into(), value: 0.1 + 0.2 }],
     };
