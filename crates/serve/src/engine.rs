@@ -149,7 +149,7 @@ impl std::error::Error for SwapError {}
 /// A stateful serving front end over an immutable [`ServingModel`].
 ///
 /// Each `serve_batch` call deduplicates the uncached users of the batch,
-/// scores them in one blocked matmul, refreshes the hot-user LRU, and
+/// scores them in one top-K scan, refreshes the hot-user LRU, and
 /// records latency. Caching never changes answers — the model is immutable
 /// and its top-K order total — so a hit returns exactly what scoring would.
 ///
@@ -281,7 +281,7 @@ impl ServeEngine {
         }
         let hits = users.len() as u64 - miss_slots;
 
-        // One blocked matmul (or f32 kernel pass) over all missing users.
+        // One fused top-K scan (or f32 kernel pass) over all missing users.
         if !misses.is_empty() {
             let lists = self.model.top_k_batch_with(&misses, self.cfg.top_k, precision);
             for (&u, list) in misses.iter().zip(lists) {

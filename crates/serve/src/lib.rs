@@ -12,9 +12,11 @@
 //! [`ServingModel::score_batch`] reproduces the exact floating-point
 //! association order of `HetRec::predict` / `MF::predict`
 //! (`((μ + b_u) + b_i) + Σ_k u_k·i_k`, with the dot product accumulated in
-//! `k` order by the pooled matmul kernel). That makes a snapshot + serve
-//! round trip a *regression fixture*: any drift between served lists and
-//! in-process evaluation is a bug, not noise.
+//! `k` order by the pooled matmul kernel). The fused top-K scan computes
+//! every score in that same order without storing any, so its lists equal
+//! a full selection over `score_batch` bit for bit. That makes a snapshot +
+//! serve round trip a *regression fixture*: any drift between served lists
+//! and in-process evaluation is a bug, not noise.
 //!
 //! The opt-in [`ScorePrecision::Fast32`] path trades that bit fidelity for
 //! throughput: the same association order evaluated in `f32` by a
@@ -26,16 +28,18 @@
 //! ## Determinism contract
 //!
 //! Top-K lists — ties included — are identical for any kernel-pool lane
-//! count (the matmul kernels are bit-deterministic per DESIGN.md §6) and for
-//! any batch size (each output row depends only on its own user row).
+//! count and for any batch size: each user's list is computed by one lane
+//! from that user's row alone (and `score_batch`'s matmul is
+//! bit-deterministic per DESIGN.md §6).
 //! Ordering is total: score descending, then item id ascending, compared
 //! with `f64::total_cmp` so even exotic payloads order reproducibly.
 //!
 //! ## Layers
 //!
-//! * [`ServingModel`] — immutable scorer: `score_batch`, `top_k`,
-//!   `top_k_batch` (the blocked score-matmul runs on the autograd worker
-//!   pool);
+//! * [`ServingModel`] — immutable scorer: `score_batch` (the full score
+//!   matrix, a pooled matmul), and `top_k` / `top_k_batch`, which score item
+//!   panels straight into each user's bounded heap on the autograd worker
+//!   pool and never build a score matrix;
 //! * [`LruCache`] — a bounded, dependency-free LRU used for hot users;
 //! * [`ServeEngine`] — stateful front end: per-user top-K cache, batch
 //!   dedup, telemetry spans/counters and QPS / p50 / p99 latency tracking,

@@ -7,10 +7,15 @@ use msopds_autograd::{pool, Tensor};
 use msopds_recsys::snapshot::{MappedSnapshot, ModelKind, Snapshot, SnapshotError, SnapshotSource};
 use msopds_recsys::Backend;
 
-/// Rows per scoring block in [`ServingModel::top_k_batch`]: 64 rows × a
-/// few hundred items of f64 scores stay within L2 even on small cores,
-/// which is what lets huge batches keep the per-user cost of medium ones.
-const SCORE_BLOCK: usize = 64;
+/// Items per panel of the fused exact top-K scan: one panel of `item_t` is
+/// `d` strips of 64 contiguous f64 (4 KB at d = 8), small enough to stay in
+/// L1 while every user of a lane's chunk scores against it.
+const ITEM_PANEL: usize = 64;
+
+/// Items whose dot products one user accumulates together inside a panel:
+/// 16 independent f64 sums keep the add pipeline busy (one sum's chain of
+/// `d` dependent adds no longer sets the pace) and still fit in registers.
+const ITEM_GROUP: usize = 16;
 
 /// Lane width of the f32 fast-path kernel: item embeddings are packed into
 /// panels of 8 items so the inner loop reads one contiguous 8-wide block per
@@ -33,7 +38,7 @@ pub enum ScorePrecision {
     /// Bit-exact `f64` scoring (the training association order).
     #[default]
     Exact64,
-    /// Lane-unrolled `f32` scoring; tolerance-bounded, roughly 2× throughput.
+    /// Lane-unrolled `f32` scoring; tolerance-bounded.
     Fast32,
 }
 
@@ -129,7 +134,7 @@ impl Store {
     }
 
     /// Copies the given rows into a dense `[rows.len(), cols]` tensor — the
-    /// same gather the owned tensor performs, so downstream matmuls see
+    /// same gather the owned tensor performs, so `score_batch`'s matmul sees
     /// bit-identical inputs regardless of storage.
     fn gather_rows(&self, rows: &[usize]) -> Tensor {
         match self {
@@ -183,8 +188,8 @@ pub struct ServingModel {
     b_i: Store,
     /// Final user embeddings, `[n_users, d]`.
     user_f: Store,
-    /// Final item embeddings, `[n_items, d]` (row-major; the scoring matmul
-    /// uses the transposed copy below).
+    /// Final item embeddings, `[n_items, d]` (row-major; the scoring kernels
+    /// use the transposed copy below).
     item_f: Store,
     /// `item_f` transposed once at load time: `[d, n_items]`. Always owned —
     /// it is a derived layout, not a snapshot payload.
@@ -494,7 +499,7 @@ impl ServingModel {
 
     /// Scores every item for a batch of users: returns `[batch, n_items]`.
     ///
-    /// The heavy step is a blocked matmul `U[batch] · Iᵀ` that row-partitions
+    /// The heavy step is a matmul `U[batch] · Iᵀ` that row-partitions
     /// across the autograd worker pool (bit-deterministic at any lane count);
     /// the bias/μ combine is a linear pass in the same association order as
     /// [`ServingModel::predict`], so every score is bit-identical to the
@@ -530,10 +535,10 @@ impl ServingModel {
     /// only on that user's embedding row, so answers are invariant to how
     /// queries are batched.
     ///
-    /// Large batches are processed in blocks of [`SCORE_BLOCK`] rows so the
-    /// score matrix stays cache-resident, and each block's bias combine +
-    /// selection is row-partitioned across the worker pool (disjoint rows,
-    /// so parallel answers are identical to sequential ones).
+    /// Scoring and selection are fused: item panels of `item_t` are scored
+    /// straight into each user's bounded heap, so no score matrix is ever
+    /// built. The batch is split across the worker pool by user (disjoint
+    /// rows, so parallel answers are identical to sequential ones).
     ///
     /// # Panics
     /// Panics if any user id is out of range.
@@ -543,10 +548,10 @@ impl ServingModel {
 
     /// [`ServingModel::top_k_batch`] with an explicit scoring kernel.
     ///
-    /// [`ScorePrecision::Exact64`] runs the bit-exact blocked path;
+    /// [`ScorePrecision::Exact64`] runs the fused bit-exact scan;
     /// [`ScorePrecision::Fast32`] scores in `f32` (see [`ScorePrecision`] for
-    /// the fidelity contract) and upcasts the surviving k scores, so returned
-    /// `score` fields are exactly the f32 kernel's values.
+    /// the fidelity contract) and upcasts each score as it is offered, so
+    /// returned `score` fields are exactly the f32 kernel's values.
     ///
     /// # Panics
     /// Panics if any user id is out of range.
@@ -556,52 +561,74 @@ impl ServingModel {
         k: usize,
         precision: ScorePrecision,
     ) -> Vec<Vec<ScoredItem>> {
+        for &u in users {
+            assert!(u < self.n_users(), "user id {u} out of range");
+        }
         match precision {
             ScorePrecision::Exact64 => self.top_k_batch_exact(users, k),
             ScorePrecision::Fast32 => self.top_k_batch_fast(users, k),
         }
     }
 
-    /// The exact blocked path: blocks of [`SCORE_BLOCK`] rows keep the f64
-    /// score matrix cache-resident; each block's bias combine + selection is
-    /// row-partitioned across the worker pool (disjoint rows, so parallel
-    /// answers are identical to sequential ones).
+    /// The exact path: one fused scan per lane. Each lane takes a contiguous
+    /// share of the batch and walks `item_t` in [`ITEM_PANEL`]-wide panels;
+    /// for every user of its share it accumulates the panel's dot products
+    /// [`ITEM_GROUP`] items at a time on the stack, adds the biases and
+    /// offers the scores to that user's [`TopK`] heap, so the panel is
+    /// reused from L1 by the whole share and no score row is ever stored.
+    ///
+    /// Bitwise equal to a full selection over [`ServingModel::score_batch`]:
+    /// each dot product starts at `0.0` and accumulates in `k` order,
+    /// skipping `u_k == 0` — the sequence the `ikj` matmul applies to each
+    /// output element — the combine is `((μ + b_u) + b_i) + dot`, and items
+    /// are offered in ascending id order.
     fn top_k_batch_exact(&self, users: &[usize], k: usize) -> Vec<Vec<ScoredItem>> {
-        let m = self.n_items();
-        let bi = self.b_i.data();
-        let bu = self.b_u.data();
-        let mut out = Vec::with_capacity(users.len());
-        for block in users.chunks(SCORE_BLOCK) {
-            let rows = self.user_f.gather_rows(block);
-            let dots = rows.matmul(&self.item_t);
-            let dot_data = dots.data();
-            let slots: Vec<OnceLock<Vec<ScoredItem>>> =
-                (0..block.len()).map(|_| OnceLock::new()).collect();
-            let chunk = block.len().div_ceil(pool::lanes()).max(1);
-            pool::for_each_range(block.len(), chunk, |start, end| {
-                let mut scratch = vec![0.0f64; m];
-                for r in start..end {
-                    let base = self.mu + bu[block[r]];
-                    let drow = &dot_data[r * m..(r + 1) * m];
-                    for i in 0..m {
-                        scratch[i] = base + bi[i] + drow[i];
-                    }
-                    let _ = slots[r].set(top_k_row(&scratch, k));
-                }
-            });
-            out.extend(slots.into_iter().map(|s| s.into_inner().expect("every row computed")));
+        let (d, m) = (self.dim(), self.n_items());
+        let k = k.min(m);
+        if k == 0 {
+            return vec![Vec::new(); users.len()];
         }
-        out
+        let (uf, bu, bi) = (self.user_f.data(), self.b_u.data(), self.b_i.data());
+        let it = self.item_t.data();
+        let slots: Vec<OnceLock<Vec<ScoredItem>>> =
+            (0..users.len()).map(|_| OnceLock::new()).collect();
+        let chunk = users.len().div_ceil(pool::lanes()).max(1);
+        pool::for_each_range(users.len(), chunk, |start, end| {
+            let share = &users[start..end];
+            let mut heaps: Vec<TopK> = share.iter().map(|_| TopK::new(k)).collect();
+            for i0 in (0..m).step_by(ITEM_PANEL) {
+                let i1 = (i0 + ITEM_PANEL).min(m);
+                for (&u, heap) in share.iter().zip(&mut heaps) {
+                    let urow = &uf[u * d..(u + 1) * d];
+                    let base = self.mu + bu[u];
+                    let mut i = i0;
+                    while i + ITEM_GROUP <= i1 {
+                        let dots = item_dots::<ITEM_GROUP>(urow, it, m, i);
+                        let mut scores = [0.0f64; ITEM_GROUP];
+                        for ((s, &b), &dot) in scores.iter_mut().zip(&bi[i..]).zip(&dots) {
+                            *s = base + b + dot;
+                        }
+                        heap.offer_run(i as u32, &scores);
+                        i += ITEM_GROUP;
+                    }
+                    for (i, &b) in (i..i1).zip(&bi[i..i1]) {
+                        let [dot] = item_dots::<1>(urow, it, m, i);
+                        heap.offer(i as u32, base + b + dot);
+                    }
+                }
+            }
+            for (r, heap) in (start..end).zip(heaps) {
+                let _ = slots[r].set(heap.finish());
+            }
+        });
+        slots.into_iter().map(|s| s.into_inner().expect("every row computed")).collect()
     }
 
     /// The f32 fast path: the panel-packed kernel scores whole rows, and the
-    /// bounded-heap selection runs on the f32 scores upcast one at a time —
-    /// no f64 score matrix is ever materialized.
+    /// shared [`TopK`] heap selects over the f32 scores upcast one at a time
+    /// — no f64 score matrix is ever materialized.
     fn top_k_batch_fast(&self, users: &[usize], k: usize) -> Vec<Vec<ScoredItem>> {
         let m = self.n_items();
-        for &u in users {
-            assert!(u < self.n_users(), "user id {u} out of range");
-        }
         let fast = self.fast();
         let slots: Vec<OnceLock<Vec<ScoredItem>>> =
             (0..users.len()).map(|_| OnceLock::new()).collect();
@@ -610,7 +637,11 @@ impl ServingModel {
             let mut scratch = vec![0.0f32; m];
             for r in start..end {
                 fast.score_into(users[r], &mut scratch);
-                let _ = slots[r].set(top_k_scores(scratch.iter().map(|&s| s as f64), k.min(m)));
+                let mut heap = TopK::new(k.min(m));
+                for (i, &s) in scratch.iter().enumerate() {
+                    heap.offer(i as u32, s as f64);
+                }
+                let _ = slots[r].set(heap.finish());
             }
         });
         slots.into_iter().map(|s| s.into_inner().expect("every row computed")).collect()
@@ -651,56 +682,104 @@ impl ServingModel {
     }
 }
 
+/// The dot products of one user row `u` with items `i..i + N`, read from
+/// the `[d, m]` transposed item matrix `it`. Each sum starts at `0.0` and
+/// accumulates in `k` order, skipping `u_k == 0`: per item, the exact
+/// sequence of the `ikj` matmul behind [`ServingModel::score_batch`].
+#[inline(always)]
+fn item_dots<const N: usize>(u: &[f64], it: &[f64], m: usize, i: usize) -> [f64; N] {
+    let mut acc = [0.0f64; N];
+    for (k, &uk) in u.iter().enumerate() {
+        if uk == 0.0 {
+            continue;
+        }
+        let strip: &[f64; N] = it[k * m + i..][..N].try_into().expect("N items in range");
+        for (a, &q) in acc.iter_mut().zip(strip) {
+            *a += uk * q;
+        }
+    }
+    acc
+}
+
 /// The serving total order: score descending, then item id ascending.
 fn rank(a: &ScoredItem, b: &ScoredItem) -> std::cmp::Ordering {
     b.score.total_cmp(&a.score).then(a.item.cmp(&b.item))
 }
 
-/// Selects the top `k` of one score row under [`rank`]; shared by the exact
-/// and fast paths via [`top_k_scores`], so both produce the same total-order
-/// selection for the same scores.
-fn top_k_row(row: &[f64], k: usize) -> Vec<ScoredItem> {
-    top_k_scores(row.iter().copied(), k.min(row.len()))
+/// Streaming selection of the top `k` candidates under [`rank`], shared by
+/// the exact and fast paths so both make the same selection for the same
+/// scores: candidates are offered one at a time into a bounded
+/// worst-at-root heap, and [`TopK::finish`] returns them best first.
+///
+/// Most candidates score below the current k-th and are rejected by one
+/// comparison against the cached `floor`; a survivor replaces the root and
+/// sifts down in O(log k). Since [`rank`] is a strict total order (item ids
+/// are distinct), the selected set and its sorted output do not depend on
+/// the data structure. The heap's own buffer is the only allocation and
+/// becomes the answer.
+struct TopK {
+    k: usize,
+    /// The root's score once the heap is full, `-∞` while it fills: a
+    /// candidate scoring below it cannot be selected. Ties, ±0.0 and NaN
+    /// are not below it and go on to the full total order.
+    floor: f64,
+    heap: Vec<ScoredItem>,
 }
 
-/// Partial selection of the top `k` scores under [`rank`], streaming over
-/// the candidates with a bounded worst-at-root heap — the only allocation is
-/// the returned vector, so a blocked batch scan stays allocator-quiet.
-///
-/// Most of the `m` candidates fail the "beats the current k-th" check and
-/// cost one comparison; a survivor replaces the root and sifts down in
-/// O(log k) instead of the old insertion buffer's O(k) shift. Since [`rank`]
-/// is a strict total order (item ids are distinct), the selected set and its
-/// final sorted order are independent of the data structure, so swapping the
-/// buffer for a heap changed no output — golden traces included.
-fn top_k_scores(scores: impl Iterator<Item = f64>, k: usize) -> Vec<ScoredItem> {
-    if k == 0 {
-        return Vec::new();
+impl TopK {
+    /// An empty selection of at most `k` entries (callers clamp `k` to the
+    /// candidate count, which bounds the allocation).
+    fn new(k: usize) -> Self {
+        Self { k, floor: f64::NEG_INFINITY, heap: Vec::with_capacity(k) }
     }
-    let mut top: Vec<ScoredItem> = Vec::with_capacity(k);
-    for (i, s) in scores.enumerate() {
-        let cand = ScoredItem { item: i as u32, score: s };
-        if top.len() < k {
-            top.push(cand);
-            if top.len() == k {
+
+    /// Offers one candidate.
+    #[inline]
+    fn offer(&mut self, item: u32, score: f64) {
+        if score < self.floor {
+            return;
+        }
+        let cand = ScoredItem { item, score };
+        if self.heap.len() < self.k {
+            self.heap.push(cand);
+            if self.heap.len() == self.k {
                 // Heapify once the buffer is full: worst element to the root.
-                for n in (0..k / 2).rev() {
-                    sift_down(&mut top, n);
+                for n in (0..self.k / 2).rev() {
+                    sift_down(&mut self.heap, n);
                 }
+                self.floor = self.heap[0].score;
             }
-            continue;
+            return;
         }
-        let worst = &top[0];
-        // Plain `<` rejects almost every candidate in one comparison;
-        // ties, ±0.0 and NaN fall through to the full total order.
-        if s < worst.score || rank(&cand, worst).is_ge() {
-            continue;
+        match self.heap.first() {
+            Some(worst) if rank(&cand, worst).is_lt() => {
+                self.heap[0] = cand;
+                sift_down(&mut self.heap, 0);
+                self.floor = self.heap[0].score;
+            }
+            _ => {}
         }
-        top[0] = cand;
-        sift_down(&mut top, 0);
     }
-    top.sort_unstable_by(rank);
-    top
+
+    /// Offers `scores[j]` as item `first + j`, in order — the same as one
+    /// [`TopK::offer`] each, but a run with no score at or above the floor
+    /// is rejected by one branch-free pass.
+    #[inline]
+    fn offer_run(&mut self, first: u32, scores: &[f64]) {
+        let floor = self.floor;
+        if !scores.iter().fold(false, |any, &s| any | (s >= floor || s.is_nan())) {
+            return;
+        }
+        for (j, &s) in scores.iter().enumerate() {
+            self.offer(first + j as u32, s);
+        }
+    }
+
+    /// The selected entries, best first.
+    fn finish(mut self) -> Vec<ScoredItem> {
+        self.heap.sort_unstable_by(rank);
+        self.heap
+    }
 }
 
 /// Restores the worst-at-root heap property from node `n` downward: every
@@ -729,18 +808,15 @@ mod tests {
     use super::*;
     use msopds_recsys::snapshot::SnapshotHeader;
 
-    /// An in-memory Mf snapshot with pseudo-random (LCG) embeddings so the
-    /// f32 kernel sees non-trivial rounding; `n_items` is deliberately not a
-    /// multiple of [`F32_LANES`] so every panel-tail branch runs.
-    fn lcg_model(n_users: usize, n_items: usize, d: usize) -> ServingModel {
-        let mut state = 0x2545F4914F6CDD1Du64;
-        let mut next = move || {
-            state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
-            ((state >> 33) as f64 / (1u64 << 31) as f64) - 0.5
-        };
-        let fill = |n: usize, next: &mut dyn FnMut() -> f64| -> Vec<f64> {
-            (0..n).map(|_| next()).collect()
-        };
+    /// An in-memory Mf model whose payloads (embeddings, then biases) are
+    /// drawn in order from `draw`.
+    fn mf_model(
+        n_users: usize,
+        n_items: usize,
+        d: usize,
+        mut draw: impl FnMut() -> f64,
+    ) -> ServingModel {
+        let mut fill = |n: usize| -> Vec<f64> { (0..n).map(|_| draw()).collect() };
         let snap = Snapshot {
             header: SnapshotHeader {
                 kind: ModelKind::Mf,
@@ -754,13 +830,93 @@ mod tests {
             },
             config_json: String::from("{}"),
             tensors: vec![
-                (String::from("p"), Tensor::from_vec(fill(n_users * d, &mut next), &[n_users, d])),
-                (String::from("q"), Tensor::from_vec(fill(n_items * d, &mut next), &[n_items, d])),
-                (String::from("b_u"), Tensor::from_vec(fill(n_users, &mut next), &[n_users, 1])),
-                (String::from("b_i"), Tensor::from_vec(fill(n_items, &mut next), &[n_items, 1])),
+                (String::from("p"), Tensor::from_vec(fill(n_users * d), &[n_users, d])),
+                (String::from("q"), Tensor::from_vec(fill(n_items * d), &[n_items, d])),
+                (String::from("b_u"), Tensor::from_vec(fill(n_users), &[n_users, 1])),
+                (String::from("b_i"), Tensor::from_vec(fill(n_items), &[n_items, 1])),
             ],
         };
         ServingModel::from_snapshot(&snap).expect("valid snapshot")
+    }
+
+    /// Uniform draws in [-0.5, 0.5) from an LCG.
+    fn lcg() -> impl FnMut() -> f64 {
+        let mut state = 0x2545F4914F6CDD1Du64;
+        move || {
+            state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+            ((state >> 33) as f64 / (1u64 << 31) as f64) - 0.5
+        }
+    }
+
+    /// An Mf model with pseudo-random (LCG) embeddings so the f32 kernel sees
+    /// non-trivial rounding; `n_items` is deliberately not a multiple of
+    /// [`F32_LANES`] so every panel-tail branch runs.
+    fn lcg_model(n_users: usize, n_items: usize, d: usize) -> ServingModel {
+        mf_model(n_users, n_items, d, lcg())
+    }
+
+    /// The three-pass oracle's selection: every score of one row offered to
+    /// [`TopK`] in item order.
+    fn top_k_row(row: &[f64], k: usize) -> Vec<ScoredItem> {
+        let mut heap = TopK::new(k.min(row.len()));
+        for (i, &s) in row.iter().enumerate() {
+            heap.offer(i as u32, s);
+        }
+        heap.finish()
+    }
+
+    /// The fused exact scan must equal `top_k_row` over `score_batch` bit
+    /// for bit — items, order and `score.to_bits()` — on both sides of every
+    /// panel boundary, for users with zero (and negative-zero) embedding
+    /// components, duplicate users in one batch, and 1 or 2 pool lanes.
+    #[test]
+    fn fused_exact_top_k_matches_score_batch_oracle_across_panels() {
+        const P: usize = ITEM_PANEL;
+        let d = 5;
+        for m in [1, P - 1, P, P + 1, 3 * P + 5] {
+            // Half the draws sit on a coarse grid, so exact zeros and tied
+            // scores are common; the rest are LCG values with full mantissas.
+            let mut lcg = lcg();
+            let mut n = 0u64;
+            let mut model = mf_model(6, m, d, move || {
+                n += 1;
+                let x = lcg();
+                if n.is_multiple_of(2) {
+                    (x * 8.0).round() * 0.25
+                } else {
+                    x
+                }
+            });
+            // User 0 has an all-zero embedding; user 1 mixes ±0.0 components.
+            let mut p = model.user_f.data().to_vec();
+            p[..d].fill(0.0);
+            p[d] = -0.0;
+            p[d + 2] = 0.0;
+            model.user_f = Store::Owned(Tensor::from_vec(p, &[model.n_users(), d]));
+            let users = [2usize, 0, 1, 3, 4, 5, 2, 0, 5];
+            let scores = model.score_batch(&users);
+            for k in [0, 1, 10, m, m + 5] {
+                let expect: Vec<Vec<ScoredItem>> = (0..users.len())
+                    .map(|r| top_k_row(&scores.data()[r * m..(r + 1) * m], k))
+                    .collect();
+                for lanes in [1, 2] {
+                    pool::configure_threads(lanes);
+                    let got = model.top_k_batch(&users, k);
+                    assert_eq!(got.len(), users.len());
+                    for (r, (g, e)) in got.iter().zip(&expect).enumerate() {
+                        assert_eq!(g.len(), k.min(m), "m {m} k {k} lanes {lanes} row {r}");
+                        for (x, y) in g.iter().zip(e) {
+                            assert_eq!(
+                                (x.item, x.score.to_bits()),
+                                (y.item, y.score.to_bits()),
+                                "m {m} k {k} lanes {lanes} row {r}"
+                            );
+                        }
+                    }
+                }
+            }
+        }
+        pool::configure_threads(0);
     }
 
     #[test]

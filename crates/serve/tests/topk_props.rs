@@ -40,43 +40,47 @@ fn quantized(state: &mut u64, n: usize) -> Vec<f64> {
     (0..n).map(|_| (splitmix(state) % 17) as f64 * 0.25 - 2.0).collect()
 }
 
-/// An arbitrary-but-valid MF snapshot with tie-prone payloads.
+/// An arbitrary-but-valid MF snapshot with tie-prone payloads. `n_items`
+/// runs past three 64-item panels of the fused exact scan, so cases land
+/// below, on and across panel boundaries, tail included.
 fn arb_model() -> impl Strategy<Value = ServingModel> {
-    (1usize..14, 1usize..20, 1usize..5, 0u64..u64::MAX).prop_map(|(n_users, n_items, dim, seed)| {
-        let mut state = seed;
-        let snap = Snapshot {
-            header: SnapshotHeader {
-                kind: ModelKind::Mf,
-                backend: Backend::Dense,
-                seed,
-                social_fingerprint: 0,
-                item_fingerprint: 0,
-                n_users: n_users as u64,
-                n_items: n_items as u64,
-                mu: quantized(&mut state, 1)[0],
-            },
-            config_json: String::from("{}"),
-            tensors: vec![
-                (
-                    String::from("p"),
-                    Tensor::from_vec(quantized(&mut state, n_users * dim), &[n_users, dim]),
-                ),
-                (
-                    String::from("q"),
-                    Tensor::from_vec(quantized(&mut state, n_items * dim), &[n_items, dim]),
-                ),
-                (
-                    String::from("b_u"),
-                    Tensor::from_vec(quantized(&mut state, n_users), &[n_users, 1]),
-                ),
-                (
-                    String::from("b_i"),
-                    Tensor::from_vec(quantized(&mut state, n_items), &[n_items, 1]),
-                ),
-            ],
-        };
-        ServingModel::from_snapshot(&snap).expect("valid snapshot")
-    })
+    (1usize..14, 1usize..200, 1usize..5, 0u64..u64::MAX).prop_map(
+        |(n_users, n_items, dim, seed)| {
+            let mut state = seed;
+            let snap = Snapshot {
+                header: SnapshotHeader {
+                    kind: ModelKind::Mf,
+                    backend: Backend::Dense,
+                    seed,
+                    social_fingerprint: 0,
+                    item_fingerprint: 0,
+                    n_users: n_users as u64,
+                    n_items: n_items as u64,
+                    mu: quantized(&mut state, 1)[0],
+                },
+                config_json: String::from("{}"),
+                tensors: vec![
+                    (
+                        String::from("p"),
+                        Tensor::from_vec(quantized(&mut state, n_users * dim), &[n_users, dim]),
+                    ),
+                    (
+                        String::from("q"),
+                        Tensor::from_vec(quantized(&mut state, n_items * dim), &[n_items, dim]),
+                    ),
+                    (
+                        String::from("b_u"),
+                        Tensor::from_vec(quantized(&mut state, n_users), &[n_users, 1]),
+                    ),
+                    (
+                        String::from("b_i"),
+                        Tensor::from_vec(quantized(&mut state, n_items), &[n_items, 1]),
+                    ),
+                ],
+            };
+            ServingModel::from_snapshot(&snap).expect("valid snapshot")
+        },
+    )
 }
 
 /// The serving total order: score descending, then item id ascending.
