@@ -1,16 +1,13 @@
-//! Fast-path benchmarks for the two PR-6 hot loops, emitting
-//! `BENCH_fastpath.json`:
+//! Benchmarks of two hot loops, emitting `BENCH_fastpath.json`:
 //!
-//! * **Scoring** — `score/f64_topk_batch{B}` vs `score/f32_topk_batch{B}`
-//!   at batch ∈ {1, 64, 1024} (full top-K serving answer on each path), plus
-//!   `score/f64_raw_batch1024` / `score/f32_raw_batch1024` for the bare
-//!   score kernels without selection, and derived
-//!   `score/users_per_sec_{f64,f32}_batch{B}` rows (batch ÷ median call
-//!   time; `iters_per_sample` = 1 marks them derived, the serve-bench
-//!   convention). CI's smoke run asserts, on the small model, that f32
-//!   out-serves f64 at batch 1024 and that the fused f64 top-K takes at
-//!   most half the time of `score/f64_raw_batch1024`, the bare score
-//!   matrix it never builds.
+//! * **Scoring** — `score/f64_topk_batch{B}` at batch ∈ {1, 64, 1024} (the
+//!   full top-K serving answer of the fused exact scan), plus
+//!   `score/f64_raw_batch1024` for the bare score matrix without selection,
+//!   and derived `score/users_per_sec_f64_batch{B}` rows (batch ÷ median
+//!   call time; `iters_per_sample` = 1 marks them derived, the serve-bench
+//!   convention). CI's smoke run asserts, on the small model, that the
+//!   fused top-K takes at most half the time of `score/f64_raw_batch1024`,
+//!   the bare score matrix it never builds.
 //!
 //! * **CG solves** — `cg/single_f{N}` vs `cg/multi_f{N}` for N ∈ {1, 4, 16}
 //!   followers: N SPD systems sharing one operator (a 2-D grid Laplacian
@@ -33,7 +30,7 @@ use criterion::{criterion_group, BenchResult, Criterion};
 use msopds_autograd::{conjugate_gradient, conjugate_gradient_multi, SparseMatrix, Tensor};
 use msopds_recsys::snapshot::{ModelKind, Snapshot, SnapshotHeader};
 use msopds_recsys::Backend;
-use msopds_serve::{ScorePrecision, ServingModel};
+use msopds_serve::ServingModel;
 
 /// The batch sizes of the acceptance criterion.
 const BATCHES: [usize; 3] = [1, 64, 1024];
@@ -102,27 +99,15 @@ fn scoring(c: &mut Criterion) {
         model.n_items(),
         model.dim()
     );
-    // Build the f32 tables outside the timer (one-time per process anyway).
-    let _ = model.score_batch_f32(&[0]);
     for batch in BATCHES {
         let users = query_batch(batch, model.n_users());
         c.bench_function(format!("score/f64_topk_batch{batch}"), |b| {
-            b.iter(|| {
-                std::hint::black_box(model.top_k_batch_with(&users, TOP_K, ScorePrecision::Exact64))
-            })
-        });
-        c.bench_function(format!("score/f32_topk_batch{batch}"), |b| {
-            b.iter(|| {
-                std::hint::black_box(model.top_k_batch_with(&users, TOP_K, ScorePrecision::Fast32))
-            })
+            b.iter(|| std::hint::black_box(model.top_k_batch(&users, TOP_K)))
         });
     }
     let users = query_batch(*BATCHES.last().expect("non-empty"), model.n_users());
     c.bench_function(format!("score/f64_raw_batch{}", users.len()), |b| {
         b.iter(|| std::hint::black_box(model.score_batch(&users)))
-    });
-    c.bench_function(format!("score/f32_raw_batch{}", users.len()), |b| {
-        b.iter(|| std::hint::black_box(model.score_batch_f32(&users)))
     });
 }
 
@@ -228,7 +213,7 @@ criterion_group!(
     targets = scoring, cg_solves
 );
 
-/// Users/sec rows derived from the top-K timings on both precisions.
+/// Users/sec rows derived from the top-K timings.
 fn users_per_sec_rows(timed: &[BenchResult]) -> Vec<BenchResult> {
     timed
         .iter()

@@ -37,8 +37,8 @@
 //! Dynamic batching never changes answers: each top-K row depends only on
 //! its own user (the serve crate's batch-invariance contract), so any
 //! coalescing/partition of a query stream is bit-identical to one
-//! synchronous `top_k_batch` call — for both `ScorePrecision` kernels. The
-//! property suite (`tests/batcher_props.rs`) pins this.
+//! synchronous `top_k_batch` call, bit for bit. The property suite
+//! (`tests/batcher_props.rs`) pins this.
 //!
 //! ## Determinism in tests
 //!
@@ -68,6 +68,5 @@ pub use server::{
 };
 
 pub use msopds_serve::{
-    ScorePrecision, ScoredItem, ServeConfig, ServingModel, Snapshot, SnapshotError, SnapshotSource,
-    SwapError,
+    ScoredItem, ServeConfig, ServingModel, Snapshot, SnapshotError, SnapshotSource, SwapError,
 };

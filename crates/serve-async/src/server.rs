@@ -15,8 +15,7 @@
 //! user's embedding row (the serve crate's batch-invariance contract), so
 //! any coalescing of a query stream returns bit-identical lists to one
 //! synchronous `top_k_batch` over the same stream — the property suite in
-//! `tests/batcher_props.rs` pins exactly that, for both [`ScorePrecision`]
-//! kernels.
+//! `tests/batcher_props.rs` pins exactly that.
 //!
 //! ## Hot-swap
 //!
@@ -59,12 +58,12 @@ static P99_US: Gauge = Gauge::new("serve_async.latency.p99_us");
 static P999_US: Gauge = Gauge::new("serve_async.latency.p999_us");
 
 /// Knobs of the async tier: the batcher policy plus the wrapped engine's
-/// own configuration (top-K length, hot-user cache, scoring precision).
+/// own configuration (top-K length, hot-user cache).
 #[derive(Clone, Copy, Debug, Default)]
 pub struct AsyncServeConfig {
     /// Latency budget, max batch, and admission cap.
     pub batcher: BatcherConfig,
-    /// The inner [`ServeEngine`] knobs (list length, LRU, precision).
+    /// The inner [`ServeEngine`] knobs (list length, LRU).
     pub serve: ServeConfig,
 }
 

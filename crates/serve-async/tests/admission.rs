@@ -11,27 +11,27 @@ use std::time::Duration;
 
 use common::{lcg_model, splitmix};
 use msopds_serve_async::{
-    AsyncServeConfig, AsyncServer, AsyncStats, BatcherConfig, ScorePrecision, ScoredItem,
-    ServeAsyncError, ServeConfig, ServingModel, SystemClock, Ticket,
+    AsyncServeConfig, AsyncServer, AsyncStats, BatcherConfig, ScoredItem, ServeAsyncError,
+    ServeConfig, ServingModel, SystemClock, Ticket,
 };
 
 const K: usize = 4;
 const N_USERS: usize = 30;
 
-fn server(queue_cap: usize, max_batch: usize, precision: ScorePrecision) -> AsyncServer {
+fn server(queue_cap: usize, max_batch: usize) -> AsyncServer {
     AsyncServer::start_with_clock(
         Arc::new(lcg_model(N_USERS, 50, 3, 1.0)),
         AsyncServeConfig {
             batcher: BatcherConfig { deadline: Duration::from_micros(100), max_batch, queue_cap },
-            serve: ServeConfig { top_k: K, cache_capacity: 8, precision },
+            serve: ServeConfig { top_k: K, cache_capacity: 8, ..ServeConfig::default() },
         },
         Arc::new(SystemClock::new()),
     )
 }
 
-fn refs(model: &ServingModel, precision: ScorePrecision) -> Vec<Vec<ScoredItem>> {
+fn refs(model: &ServingModel) -> Vec<Vec<ScoredItem>> {
     let all: Vec<usize> = (0..model.n_users()).collect();
-    model.top_k_batch_with(&all, K, precision)
+    model.top_k_batch(&all, K)
 }
 
 fn bitwise_eq(got: &[ScoredItem], want: &[ScoredItem]) -> bool {
@@ -44,51 +44,49 @@ fn bitwise_eq(got: &[ScoredItem], want: &[ScoredItem]) -> bool {
 
 #[test]
 fn saturation_sheds_exactly_the_overflow_and_serves_the_rest() {
-    for precision in [ScorePrecision::Exact64, ScorePrecision::Fast32] {
-        let (queue_cap, overflow) = (16usize, 5usize);
-        let srv = server(queue_cap, 8, precision);
-        let want = refs(&lcg_model(N_USERS, 50, 3, 1.0), precision);
+    let (queue_cap, overflow) = (16usize, 5usize);
+    let srv = server(queue_cap, 8);
+    let want = refs(&lcg_model(N_USERS, 50, 3, 1.0));
 
-        // Hold the dispatcher so the queue provably reaches the cap — without
-        // the pause, a fast dispatcher could drain mid-fill and the rejection
-        // count would be timing-dependent instead of exact.
-        srv.pause();
-        let mut tickets: Vec<(usize, Ticket)> = Vec::new();
-        let mut rejected = 0u64;
-        for i in 0..queue_cap + overflow {
-            let u = i % N_USERS;
-            match srv.submit(u) {
-                Ok(t) => tickets.push((u, t)),
-                Err(e) => {
-                    assert_eq!(e, ServeAsyncError::Overloaded { queue_cap });
-                    rejected += 1;
-                }
+    // Hold the dispatcher so the queue provably reaches the cap — without
+    // the pause, a fast dispatcher could drain mid-fill and the rejection
+    // count would be timing-dependent instead of exact.
+    srv.pause();
+    let mut tickets: Vec<(usize, Ticket)> = Vec::new();
+    let mut rejected = 0u64;
+    for i in 0..queue_cap + overflow {
+        let u = i % N_USERS;
+        match srv.submit(u) {
+            Ok(t) => tickets.push((u, t)),
+            Err(e) => {
+                assert_eq!(e, ServeAsyncError::Overloaded { queue_cap });
+                rejected += 1;
             }
         }
-        assert_eq!(tickets.len(), queue_cap, "exactly the cap admitted");
-        assert_eq!(rejected, overflow as u64, "exactly the overflow shed");
-        assert!(tickets.iter().all(|(_, t)| t.try_take().is_none()), "paused: nothing served yet");
-
-        srv.resume();
-        for (u, ticket) in &tickets {
-            assert!(
-                bitwise_eq(&ticket.wait().expect("served"), &want[*u]),
-                "accepted answer for user {u}"
-            );
-        }
-        let stats = srv.shutdown();
-        assert_eq!(stats.batcher.offered, (queue_cap + overflow) as u64);
-        assert_eq!(stats.batcher.accepted, queue_cap as u64);
-        assert_eq!(stats.batcher.rejected, overflow as u64);
-        assert_eq!(stats.completed, stats.batcher.accepted, "every accepted query completed");
-        assert_eq!(
-            stats.engine.cache_hits + stats.engine.cache_misses + stats.batcher.rejected,
-            stats.batcher.offered,
-            "hits + misses + rejected == offered"
-        );
-        assert_eq!(stats.batcher.peak_depth, queue_cap as u64);
-        assert_latency_books(&stats);
     }
+    assert_eq!(tickets.len(), queue_cap, "exactly the cap admitted");
+    assert_eq!(rejected, overflow as u64, "exactly the overflow shed");
+    assert!(tickets.iter().all(|(_, t)| t.try_take().is_none()), "paused: nothing served yet");
+
+    srv.resume();
+    for (u, ticket) in &tickets {
+        assert!(
+            bitwise_eq(&ticket.wait().expect("served"), &want[*u]),
+            "accepted answer for user {u}"
+        );
+    }
+    let stats = srv.shutdown();
+    assert_eq!(stats.batcher.offered, (queue_cap + overflow) as u64);
+    assert_eq!(stats.batcher.accepted, queue_cap as u64);
+    assert_eq!(stats.batcher.rejected, overflow as u64);
+    assert_eq!(stats.completed, stats.batcher.accepted, "every accepted query completed");
+    assert_eq!(
+        stats.engine.cache_hits + stats.engine.cache_misses + stats.batcher.rejected,
+        stats.batcher.offered,
+        "hits + misses + rejected == offered"
+    );
+    assert_eq!(stats.batcher.peak_depth, queue_cap as u64);
+    assert_latency_books(&stats);
 }
 
 /// After a drain the latency histogram holds one sample per completion and
@@ -101,11 +99,10 @@ fn assert_latency_books(stats: &AsyncStats) {
 
 #[test]
 fn concurrent_submitters_keep_the_books_balanced() {
-    let precision = ScorePrecision::Exact64;
     // A deliberately tiny cap under multi-threaded pressure: rejections are
     // expected and must be accounted exactly, never panicked on.
-    let srv = server(4, 4, precision);
-    let want = refs(&lcg_model(N_USERS, 50, 3, 1.0), precision);
+    let srv = server(4, 4);
+    let want = refs(&lcg_model(N_USERS, 50, 3, 1.0));
 
     let (accepted, rejected): (u64, u64) = std::thread::scope(|scope| {
         let handles: Vec<_> = (0..3u64)
@@ -156,7 +153,7 @@ fn concurrent_submitters_keep_the_books_balanced() {
 
 #[test]
 fn unknown_user_is_rejected_at_the_door_without_touching_the_queue() {
-    let srv = server(64, 8, ScorePrecision::Exact64);
+    let srv = server(64, 8);
     assert_eq!(
         srv.submit(N_USERS).err(),
         Some(ServeAsyncError::UnknownUser { user: N_USERS, n_users: N_USERS })

@@ -11,8 +11,8 @@ use std::time::Duration;
 
 use common::{lcg_model, lcg_snapshot, splitmix};
 use msopds_serve_async::{
-    AsyncServeConfig, AsyncServer, BatcherConfig, ScorePrecision, ScoredItem, ServeConfig,
-    ServingModel, SnapshotSource, SwapError, SwapSnapshotError, SystemClock,
+    AsyncServeConfig, AsyncServer, BatcherConfig, ScoredItem, ServeConfig, ServingModel,
+    SnapshotSource, SwapError, SwapSnapshotError, SystemClock,
 };
 
 const K: usize = 5;
@@ -20,21 +20,21 @@ const N_USERS: usize = 40;
 const N_ITEMS: usize = 60;
 const DIM: usize = 4;
 
-fn cfg(precision: ScorePrecision) -> AsyncServeConfig {
+fn cfg() -> AsyncServeConfig {
     AsyncServeConfig {
         batcher: BatcherConfig {
             deadline: Duration::from_micros(50),
             max_batch: 32,
             queue_cap: 4096,
         },
-        serve: ServeConfig { top_k: K, cache_capacity: 16, precision },
+        serve: ServeConfig { top_k: K, cache_capacity: 16, ..ServeConfig::default() },
     }
 }
 
 /// Per-user reference answers for one model.
-fn refs(model: &ServingModel, precision: ScorePrecision) -> Vec<Vec<ScoredItem>> {
+fn refs(model: &ServingModel) -> Vec<Vec<ScoredItem>> {
     let all: Vec<usize> = (0..model.n_users()).collect();
-    model.top_k_batch_with(&all, K, precision)
+    model.top_k_batch(&all, K)
 }
 
 fn bitwise_eq(got: &[ScoredItem], want: &[ScoredItem]) -> bool {
@@ -47,68 +47,59 @@ fn bitwise_eq(got: &[ScoredItem], want: &[ScoredItem]) -> bool {
 
 #[test]
 fn concurrent_swaps_under_load_never_serve_a_torn_model() {
-    for precision in [ScorePrecision::Exact64, ScorePrecision::Fast32] {
-        let old = Arc::new(lcg_model(N_USERS, N_ITEMS, DIM, 1.0));
-        let new = Arc::new(lcg_model(N_USERS, N_ITEMS, DIM, 2.0));
-        let ref_old = refs(&old, precision);
-        let ref_new = refs(&new, precision);
-        // The two models must genuinely disagree or the test proves nothing.
-        assert!((0..N_USERS).any(|u| !bitwise_eq(&ref_old[u], &ref_new[u])));
+    let old = Arc::new(lcg_model(N_USERS, N_ITEMS, DIM, 1.0));
+    let new = Arc::new(lcg_model(N_USERS, N_ITEMS, DIM, 2.0));
+    let ref_old = refs(&old);
+    let ref_new = refs(&new);
+    // The two models must genuinely disagree or the test proves nothing.
+    assert!((0..N_USERS).any(|u| !bitwise_eq(&ref_old[u], &ref_new[u])));
 
-        let server = AsyncServer::start_with_clock(
-            Arc::clone(&old),
-            cfg(precision),
-            Arc::new(SystemClock::new()),
-        );
-        std::thread::scope(|scope| {
-            for t in 0..2u64 {
-                let server = &server;
-                let (ref_old, ref_new) = (&ref_old, &ref_new);
-                scope.spawn(move || {
-                    let mut state = 0xC0FFEE ^ t;
-                    for _ in 0..150 {
-                        let u = (splitmix(&mut state) % N_USERS as u64) as usize;
-                        let answer =
-                            server.submit(u).expect("cap covers the load").wait().expect("served");
-                        assert!(
-                            bitwise_eq(&answer, &ref_old[u]) || bitwise_eq(&answer, &ref_new[u]),
-                            "user {u} got an answer matching neither snapshot ({precision})"
-                        );
-                    }
-                });
-            }
-            // Swap back and forth while the clients hammer the queue.
-            for i in 0..40 {
-                let next = if i % 2 == 0 { &new } else { &old };
-                server.swap_model(Arc::clone(next)).expect("same dataset, same shape");
-                std::thread::yield_now();
-            }
-        });
-        let stats = server.shutdown();
-        assert_eq!(stats.swaps, 40);
-        assert_eq!(stats.swaps_rejected, 0);
-        assert_eq!(stats.completed, 300);
-        assert_eq!(stats.batcher.accepted, 300);
-        assert_eq!(
-            stats.engine.cache_hits + stats.engine.cache_misses + stats.batcher.rejected,
-            stats.batcher.offered
-        );
-    }
+    let server =
+        AsyncServer::start_with_clock(Arc::clone(&old), cfg(), Arc::new(SystemClock::new()));
+    std::thread::scope(|scope| {
+        for t in 0..2u64 {
+            let server = &server;
+            let (ref_old, ref_new) = (&ref_old, &ref_new);
+            scope.spawn(move || {
+                let mut state = 0xC0FFEE ^ t;
+                for _ in 0..150 {
+                    let u = (splitmix(&mut state) % N_USERS as u64) as usize;
+                    let answer =
+                        server.submit(u).expect("cap covers the load").wait().expect("served");
+                    assert!(
+                        bitwise_eq(&answer, &ref_old[u]) || bitwise_eq(&answer, &ref_new[u]),
+                        "user {u} got an answer matching neither snapshot"
+                    );
+                }
+            });
+        }
+        // Swap back and forth while the clients hammer the queue.
+        for i in 0..40 {
+            let next = if i % 2 == 0 { &new } else { &old };
+            server.swap_model(Arc::clone(next)).expect("same dataset, same shape");
+            std::thread::yield_now();
+        }
+    });
+    let stats = server.shutdown();
+    assert_eq!(stats.swaps, 40);
+    assert_eq!(stats.swaps_rejected, 0);
+    assert_eq!(stats.completed, 300);
+    assert_eq!(stats.batcher.accepted, 300);
+    assert_eq!(
+        stats.engine.cache_hits + stats.engine.cache_misses + stats.batcher.rejected,
+        stats.batcher.offered
+    );
 }
 
 #[test]
 fn queries_after_a_swap_are_answered_by_the_new_model_only() {
     let old = Arc::new(lcg_model(N_USERS, N_ITEMS, DIM, 1.0));
     let new = Arc::new(lcg_model(N_USERS, N_ITEMS, DIM, 2.0));
-    let precision = ScorePrecision::Exact64;
-    let ref_old = refs(&old, precision);
-    let ref_new = refs(&new, precision);
+    let ref_old = refs(&old);
+    let ref_new = refs(&new);
 
-    let server = AsyncServer::start_with_clock(
-        Arc::clone(&old),
-        cfg(precision),
-        Arc::new(SystemClock::new()),
-    );
+    let server =
+        AsyncServer::start_with_clock(Arc::clone(&old), cfg(), Arc::new(SystemClock::new()));
     // Before the swap: old answers (wait for each, so none straddles it).
     for (u, want) in ref_old.iter().enumerate().take(8) {
         assert!(bitwise_eq(&server.submit(u).unwrap().wait().expect("served"), want));
@@ -129,13 +120,9 @@ fn queries_after_a_swap_are_answered_by_the_new_model_only() {
 #[test]
 fn fingerprint_mismatched_snapshot_is_rejected_and_serving_continues() {
     let old = Arc::new(lcg_model(N_USERS, N_ITEMS, DIM, 1.0));
-    let precision = ScorePrecision::Exact64;
-    let ref_old = refs(&old, precision);
-    let server = AsyncServer::start_with_clock(
-        Arc::clone(&old),
-        cfg(precision),
-        Arc::new(SystemClock::new()),
-    );
+    let ref_old = refs(&old);
+    let server =
+        AsyncServer::start_with_clock(Arc::clone(&old), cfg(), Arc::new(SystemClock::new()));
 
     // A structurally valid snapshot fitted on a *different* dataset: the
     // fingerprints disagree, so applying it would answer for the wrong world.
@@ -171,12 +158,8 @@ fn fingerprint_mismatched_snapshot_is_rejected_and_serving_continues() {
 #[test]
 fn swap_source_gates_on_the_peeked_header_and_swaps_zero_copy() {
     let old = Arc::new(lcg_model(N_USERS, N_ITEMS, DIM, 1.0));
-    let precision = ScorePrecision::Exact64;
-    let server = AsyncServer::start_with_clock(
-        Arc::clone(&old),
-        cfg(precision),
-        Arc::new(SystemClock::new()),
-    );
+    let server =
+        AsyncServer::start_with_clock(Arc::clone(&old), cfg(), Arc::new(SystemClock::new()));
     let dir = std::env::temp_dir();
     let pid = std::process::id();
 
@@ -195,7 +178,7 @@ fn swap_source_gates_on_the_peeked_header_and_swaps_zero_copy() {
     // Same world on disk: passes the gate and swaps in through the mmap
     // path, serving the new model's answers bit for bit.
     let good = lcg_snapshot(N_USERS, N_ITEMS, DIM, 2.0, (0xFEED, 0xF00D));
-    let ref_new = refs(&ServingModel::from_snapshot(&good).unwrap(), precision);
+    let ref_new = refs(&ServingModel::from_snapshot(&good).unwrap());
     let good_path = dir.join(format!("msopds-swap-good-{pid}.snap"));
     good.save(&good_path).unwrap();
     server.swap_source(&SnapshotSource::mmap(&good_path)).expect("same world, same shape");

@@ -50,15 +50,10 @@ pub fn lcg_model(n_users: usize, n_items: usize, d: usize) -> ServingModel {
 }
 
 /// The standard small rig: 64 users × 48 items, short batching deadline.
-/// Precision follows `MSOPDS_PRECISION` so CI can run the whole suite on
-/// both scoring paths.
 pub fn rig_async_config(queue_cap: usize) -> AsyncServeConfig {
     AsyncServeConfig {
         batcher: BatcherConfig { deadline: Duration::from_micros(100), max_batch: 64, queue_cap },
-        serve: ServeConfig {
-            precision: msopds_serve_async::ScorePrecision::from_env(),
-            ..ServeConfig::default()
-        },
+        serve: ServeConfig::default(),
     }
 }
 

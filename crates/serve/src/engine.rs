@@ -23,8 +23,8 @@ pub struct ServeConfig {
     pub top_k: usize,
     /// Hot-user LRU capacity; 0 disables caching.
     pub cache_capacity: usize,
-    /// Scoring kernel used by [`ServeEngine::serve_batch`]; explicit
-    /// per-batch overrides go through [`ServeEngine::serve_batch_with`].
+    /// Ignored: Exact64 is the only scoring kernel. Kept so existing
+    /// `ServeConfig` literals still compile.
     pub precision: ScorePrecision,
 }
 
@@ -167,11 +167,7 @@ impl std::error::Error for SwapError {}
 pub struct ServeEngine {
     model: Arc<ServingModel>,
     cfg: ServeConfig,
-    /// Keyed on `(user, precision)`: the two kernels round differently, so a
-    /// Fast32 answer must never satisfy an Exact64 lookup (or vice versa) —
-    /// mixing them would silently change served bits when callers alternate
-    /// precisions on one engine.
-    cache: LruCache<(u32, ScorePrecision), Arc<Vec<ScoredItem>>>,
+    cache: LruCache<u32, Arc<Vec<ScoredItem>>>,
     stats: ServeStats,
 }
 
@@ -238,27 +234,12 @@ impl ServeEngine {
         &self.stats
     }
 
-    /// Answers a batch of user queries with top-K lists, in query order,
-    /// using the engine's configured [`ScorePrecision`]. Duplicate users
-    /// within a batch are scored once.
+    /// Answers a batch of user queries with top-K lists, in query order.
+    /// Duplicate users within a batch are scored once.
     ///
     /// # Panics
     /// Panics if any user id is out of range for the model.
     pub fn serve_batch(&mut self, users: &[usize]) -> Vec<Arc<Vec<ScoredItem>>> {
-        self.serve_batch_with(users, self.cfg.precision)
-    }
-
-    /// [`ServeEngine::serve_batch`] with an explicit scoring kernel. Cache
-    /// entries are keyed on `(user, precision)`, so batches served at
-    /// different precisions never see each other's lists.
-    ///
-    /// # Panics
-    /// Panics if any user id is out of range for the model.
-    pub fn serve_batch_with(
-        &mut self,
-        users: &[usize],
-        precision: ScorePrecision,
-    ) -> Vec<Arc<Vec<ScoredItem>>> {
         let _span = telemetry::span("serve_batch");
         let start = Instant::now();
 
@@ -269,7 +250,7 @@ impl ServeEngine {
         let mut miss_slots: u64 = 0;
         for (slot, &u) in users.iter().enumerate() {
             assert!(u < self.model.n_users(), "user id {u} out of range");
-            if let Some(hit) = self.cache.get(&(u as u32, precision)) {
+            if let Some(hit) = self.cache.get(&(u as u32)) {
                 self.stats.cache_hits += 1;
                 answers[slot] = Some(Arc::clone(hit));
             } else {
@@ -281,12 +262,12 @@ impl ServeEngine {
         }
         let hits = users.len() as u64 - miss_slots;
 
-        // One fused top-K scan (or f32 kernel pass) over all missing users.
+        // One fused top-K scan over all missing users.
         if !misses.is_empty() {
-            let lists = self.model.top_k_batch_with(&misses, self.cfg.top_k, precision);
+            let lists = self.model.top_k_batch(&misses, self.cfg.top_k);
             for (&u, list) in misses.iter().zip(lists) {
                 let shared = Arc::new(list);
-                self.cache.insert((u as u32, precision), Arc::clone(&shared));
+                self.cache.insert(u as u32, Arc::clone(&shared));
                 for (slot, &q) in users.iter().enumerate() {
                     if q == u && answers[slot].is_none() {
                         answers[slot] = Some(Arc::clone(&shared));
@@ -357,14 +338,20 @@ mod tests {
             model.clone(),
             ServeConfig { top_k: 3, cache_capacity: 8, ..ServeConfig::default() },
         );
+        // Items and score bits, so a hit that changed even a zero's sign
+        // would show.
+        let bits = |list: &[ScoredItem]| -> Vec<(u32, u64)> {
+            list.iter().map(|s| (s.item, s.score.to_bits())).collect()
+        };
         let first = engine.serve_batch(&[0, 1, 2]);
         let second = engine.serve_batch(&[2, 0]); // both should hit
-        assert_eq!(*second[0], *first[2]);
-        assert_eq!(*second[1], *first[0]);
+        assert_eq!(bits(&second[0]), bits(&first[2]));
+        assert_eq!(bits(&second[1]), bits(&first[0]));
         assert_eq!(engine.stats().cache_hits, 2);
         assert_eq!(engine.stats().cache_misses, 3);
         // And both match the model answered directly.
-        assert_eq!(*first[1], model.top_k(1, 3));
+        assert_eq!(bits(&first[1]), bits(&model.top_k(1, 3)));
+        assert_eq!(bits(&second[0]), bits(&model.top_k(2, 3)));
     }
 
     #[test]
@@ -399,45 +386,6 @@ mod tests {
         assert_eq!(engine.stats().cache_hits, 0);
         assert_eq!(engine.stats().cache_misses, 4);
         assert_eq!(*a[1], model.top_k(2, 4));
-    }
-
-    #[test]
-    fn mixed_precision_batches_never_share_cache_entries() {
-        // tiny_model's user biases (0.1, 0.2, 0.3) are not exactly
-        // representable in f32, so the two kernels must produce different
-        // score bits for the same user — a cross-precision cache hit would
-        // be observable corruption, not just staleness.
-        let mut engine = ServeEngine::new(
-            tiny_model(),
-            ServeConfig { top_k: 4, cache_capacity: 8, ..ServeConfig::default() },
-        );
-        let exact = engine.serve_batch_with(&[1], ScorePrecision::Exact64);
-        let fast = engine.serve_batch_with(&[1], ScorePrecision::Fast32);
-        // Same user, two precisions: both lookups miss, nothing cross-hits.
-        assert_eq!(engine.stats().cache_misses, 2);
-        assert_eq!(engine.stats().cache_hits, 0);
-        assert!(exact[0]
-            .iter()
-            .zip(fast[0].iter())
-            .any(|(e, f)| e.score.to_bits() != f.score.to_bits()));
-        // Each precision then hits its own entry and returns its own bits.
-        let exact2 = engine.serve_batch_with(&[1], ScorePrecision::Exact64);
-        let fast2 = engine.serve_batch_with(&[1], ScorePrecision::Fast32);
-        assert_eq!(engine.stats().cache_hits, 2);
-        assert_eq!(*exact2[0], *exact[0]);
-        assert_eq!(*fast2[0], *fast[0]);
-    }
-
-    #[test]
-    fn configured_precision_drives_serve_batch() {
-        let model = tiny_model();
-        let mut engine = ServeEngine::new(
-            model.clone(),
-            ServeConfig { top_k: 4, precision: ScorePrecision::Fast32, ..ServeConfig::default() },
-        );
-        let served = engine.serve_batch(&[2]);
-        let direct = model.top_k_batch_with(&[2], 4, ScorePrecision::Fast32);
-        assert_eq!(*served[0], direct[0]);
     }
 
     /// `tiny_model` with every embedding value doubled: same shapes and

@@ -7,23 +7,16 @@
 //!
 //! ## Fidelity contract
 //!
-//! On the default [`ScorePrecision::Exact64`] path, served scores are
-//! **bit-identical** to what the in-process model would predict:
-//! [`ServingModel::score_batch`] reproduces the exact floating-point
-//! association order of `HetRec::predict` / `MF::predict`
+//! Served scores are **bit-identical** to what the in-process model would
+//! predict: [`ServingModel::score_batch`] reproduces the exact
+//! floating-point association order of `HetRec::predict` / `MF::predict`
 //! (`((μ + b_u) + b_i) + Σ_k u_k·i_k`, with the dot product accumulated in
 //! `k` order by the pooled matmul kernel). The fused top-K scan computes
 //! every score in that same order without storing any, so its lists equal
 //! a full selection over `score_batch` bit for bit. That makes a snapshot +
 //! serve round trip a *regression fixture*: any drift between served lists
-//! and in-process evaluation is a bug, not noise.
-//!
-//! The opt-in [`ScorePrecision::Fast32`] path trades that bit fidelity for
-//! throughput: the same association order evaluated in `f32` by a
-//! lane-unrolled panel kernel, tolerance-bounded against the exact path
-//! (≤ 1e-4 on the golden worlds) rather than bit-equal. It never runs
-//! unless explicitly selected per engine/batch, and cache entries are keyed
-//! on `(user, precision)` so the two paths cannot contaminate each other.
+//! and in-process evaluation is a bug, not noise. There is one scoring
+//! kernel and no precision knob; the hot-user cache is keyed on the user id.
 //!
 //! ## Determinism contract
 //!

@@ -17,70 +17,15 @@ const ITEM_PANEL: usize = 64;
 /// `d` dependent adds no longer sets the pace) and still fit in registers.
 const ITEM_GROUP: usize = 16;
 
-/// Lane width of the f32 fast-path kernel: item embeddings are packed into
-/// panels of 8 items so the inner loop reads one contiguous 8-wide block per
-/// embedding component (8 × f32 = one 256-bit vector register).
-const F32_LANES: usize = 8;
-
-/// Which scoring kernel a serving call runs.
-///
-/// [`Exact64`](ScorePrecision::Exact64) is the default and the only path the
-/// golden traces exercise: every score is bit-identical to
-/// [`ServingModel::predict`] and therefore to training. [`Fast32`]
-/// (ScorePrecision::Fast32) is the opt-in throughput path: scores are
-/// computed in `f32` with the **same association order** as the exact kernel
-/// (`((μ + b_u) + b_i) + Σₖ uₖ·qₖ`, the dot product accumulated in `k`
-/// order), so the only deviation is rounding — bounded by the tolerance
-/// trace tests at 1e-4 on the golden worlds. Top-K *sets* may differ from
-/// exact only where neighboring scores are closer than that rounding.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
+/// The scoring kernel a serving call runs. Exact64 is the only one: every
+/// score is bit-identical to [`ServingModel::predict`] and therefore to
+/// training. The type is kept only so existing [`crate::ServeConfig`]
+/// literals still compile; it selects nothing.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum ScorePrecision {
     /// Bit-exact `f64` scoring (the training association order).
     #[default]
     Exact64,
-    /// Lane-unrolled `f32` scoring; tolerance-bounded.
-    Fast32,
-}
-
-impl ScorePrecision {
-    /// Canonical lowercase name (`exact64` | `fast32`).
-    pub fn as_str(&self) -> &'static str {
-        match self {
-            ScorePrecision::Exact64 => "exact64",
-            ScorePrecision::Fast32 => "fast32",
-        }
-    }
-
-    /// The precision named by the `MSOPDS_PRECISION` environment variable,
-    /// or `Exact64` when unset.
-    ///
-    /// # Panics
-    /// Panics on an unrecognized value — a misspelled precision must not
-    /// silently serve different numbers.
-    pub fn from_env() -> Self {
-        match std::env::var("MSOPDS_PRECISION") {
-            Ok(s) => s.parse().unwrap_or_else(|e: String| panic!("MSOPDS_PRECISION: {e}")),
-            Err(_) => ScorePrecision::Exact64,
-        }
-    }
-}
-
-impl std::str::FromStr for ScorePrecision {
-    type Err = String;
-
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        match s.trim().to_ascii_lowercase().as_str() {
-            "exact64" | "exact" | "f64" => Ok(ScorePrecision::Exact64),
-            "fast32" | "fast" | "f32" => Ok(ScorePrecision::Fast32),
-            other => Err(format!("unknown precision {other:?} (expected exact64|fast32)")),
-        }
-    }
-}
-
-impl std::fmt::Display for ScorePrecision {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(self.as_str())
-    }
 }
 
 /// One entry of a top-K answer.
@@ -194,94 +139,6 @@ pub struct ServingModel {
     /// `item_f` transposed once at load time: `[d, n_items]`. Always owned —
     /// it is a derived layout, not a snapshot payload.
     item_t: Tensor,
-    /// Lazily-built f32 fast-path tables (shared across clones; built on the
-    /// first [`ScorePrecision::Fast32`] call and never on the exact path).
-    fast: Arc<OnceLock<FastPath>>,
-}
-
-/// The precomputed `f32` tables of the fast scoring kernel.
-///
-/// Item embeddings are packed into ⌈m/8⌉ *panels*: panel `p` holds items
-/// `8p..8p+8` interleaved by component, entry `(p·d + k)·8 + j` being
-/// component `k` of item `8p + j` (tail items zero-padded). One panel's
-/// scoring pass reads `d` contiguous 8-lane blocks — unit-stride streams the
-/// autovectorizer turns into one fused multiply-add per block — instead of 8
-/// strided item rows.
-struct FastPath {
-    mu: f32,
-    b_u: Vec<f32>,
-    b_i: Vec<f32>,
-    /// User embeddings, row-major `[n_users, d]`.
-    user_f: Vec<f32>,
-    /// Panel-packed item embeddings, `⌈m/8⌉ · d · 8` entries.
-    item_panels: Vec<f32>,
-    d: usize,
-    m: usize,
-}
-
-impl std::fmt::Debug for FastPath {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("FastPath")
-            .field("users", &self.b_u.len())
-            .field("items", &self.m)
-            .field("dim", &self.d)
-            .finish()
-    }
-}
-
-impl FastPath {
-    fn build(model: &ServingModel) -> Self {
-        let (d, m) = (model.dim(), model.n_items());
-        let item = model.item_f.data();
-        let n_panels = m.div_ceil(F32_LANES);
-        let mut item_panels = vec![0.0f32; n_panels * d * F32_LANES];
-        for p in 0..n_panels {
-            for k in 0..d {
-                for j in 0..F32_LANES {
-                    let i = p * F32_LANES + j;
-                    if i < m {
-                        item_panels[(p * d + k) * F32_LANES + j] = item[i * d + k] as f32;
-                    }
-                }
-            }
-        }
-        Self {
-            mu: model.mu as f32,
-            b_u: model.b_u.data().iter().map(|&v| v as f32).collect(),
-            b_i: model.b_i.data().iter().map(|&v| v as f32).collect(),
-            user_f: model.user_f.data().iter().map(|&v| v as f32).collect(),
-            item_panels,
-            d,
-            m,
-        }
-    }
-
-    /// Scores every item for `user` into `out` (length `m`).
-    ///
-    /// Association order per item: `((μ + b_u) + b_i) + Σₖ uₖ·qₖ` with the
-    /// dot product accumulated strictly in `k` order — the exact kernel's
-    /// order, in `f32`. The 8-wide unroll runs *across items* (8 independent
-    /// accumulators), never inside one dot product, so the order is
-    /// deterministic and documented rather than lane-count-dependent.
-    fn score_into(&self, user: usize, out: &mut [f32]) {
-        let (d, m) = (self.d, self.m);
-        debug_assert_eq!(out.len(), m);
-        let u = &self.user_f[user * d..(user + 1) * d];
-        let base = self.mu + self.b_u[user];
-        for (p, panel) in self.item_panels.chunks_exact(d * F32_LANES).enumerate() {
-            let mut acc = [0.0f32; F32_LANES];
-            for (k, lane) in panel.chunks_exact(F32_LANES).enumerate() {
-                let uk = u[k];
-                for j in 0..F32_LANES {
-                    acc[j] += uk * lane[j];
-                }
-            }
-            let i0 = p * F32_LANES;
-            for (j, &a) in acc.iter().take(m - i0).enumerate() {
-                out[i0 + j] = (base + self.b_i[i0 + j]) + a;
-            }
-        }
-    }
 }
 
 /// The snapshot tensor names a model kind serves from.
@@ -366,13 +223,12 @@ impl ServingModel {
             user_f: Store::Owned(user_f),
             item_f: Store::Owned(item_f),
             item_t,
-            fast: Arc::new(OnceLock::new()),
         })
     }
 
     /// Builds a serving model over a mapped snapshot without copying any
-    /// payload except the derived `item_t` transpose and the lazily-built
-    /// f32 tables: embeddings and biases are served straight out of the map.
+    /// payload except the derived `item_t` transpose: embeddings and biases
+    /// are served straight out of the map.
     ///
     /// Payload checksums are *not* verified here (that would read every byte
     /// and defeat the O(header) load); call
@@ -410,7 +266,6 @@ impl ServingModel {
             user_f,
             item_f,
             item_t,
-            fast: Arc::new(OnceLock::new()),
         })
     }
 
@@ -438,8 +293,8 @@ impl ServingModel {
     }
 
     /// Heap bytes held for model parameters (owned payloads plus the derived
-    /// `item_t` transpose; the lazily-built f32 tables are excluded). On the
-    /// mmap path this is just `item_t` — flat in user count.
+    /// `item_t` transpose). On the mmap path this is just `item_t` — flat in
+    /// user count.
     pub fn heap_param_bytes(&self) -> usize {
         self.b_u.heap_bytes()
             + self.b_i.heap_bytes()
@@ -535,54 +390,27 @@ impl ServingModel {
     /// only on that user's embedding row, so answers are invariant to how
     /// queries are batched.
     ///
-    /// Scoring and selection are fused: item panels of `item_t` are scored
-    /// straight into each user's bounded heap, so no score matrix is ever
-    /// built. The batch is split across the worker pool by user (disjoint
-    /// rows, so parallel answers are identical to sequential ones).
-    ///
-    /// # Panics
-    /// Panics if any user id is out of range.
-    pub fn top_k_batch(&self, users: &[usize], k: usize) -> Vec<Vec<ScoredItem>> {
-        self.top_k_batch_with(users, k, ScorePrecision::Exact64)
-    }
-
-    /// [`ServingModel::top_k_batch`] with an explicit scoring kernel.
-    ///
-    /// [`ScorePrecision::Exact64`] runs the fused bit-exact scan;
-    /// [`ScorePrecision::Fast32`] scores in `f32` (see [`ScorePrecision`] for
-    /// the fidelity contract) and upcasts each score as it is offered, so
-    /// returned `score` fields are exactly the f32 kernel's values.
-    ///
-    /// # Panics
-    /// Panics if any user id is out of range.
-    pub fn top_k_batch_with(
-        &self,
-        users: &[usize],
-        k: usize,
-        precision: ScorePrecision,
-    ) -> Vec<Vec<ScoredItem>> {
-        for &u in users {
-            assert!(u < self.n_users(), "user id {u} out of range");
-        }
-        match precision {
-            ScorePrecision::Exact64 => self.top_k_batch_exact(users, k),
-            ScorePrecision::Fast32 => self.top_k_batch_fast(users, k),
-        }
-    }
-
-    /// The exact path: one fused scan per lane. Each lane takes a contiguous
-    /// share of the batch and walks `item_t` in [`ITEM_PANEL`]-wide panels;
-    /// for every user of its share it accumulates the panel's dot products
-    /// [`ITEM_GROUP`] items at a time on the stack, adds the biases and
-    /// offers the scores to that user's [`TopK`] heap, so the panel is
-    /// reused from L1 by the whole share and no score row is ever stored.
+    /// Scoring and selection are fused into one scan per lane. Each lane
+    /// takes a contiguous share of the batch (disjoint rows, so parallel
+    /// answers are identical to sequential ones) and walks `item_t` in
+    /// [`ITEM_PANEL`]-wide panels; for every user of its share it
+    /// accumulates the panel's dot products [`ITEM_GROUP`] items at a time on
+    /// the stack, adds the biases and offers the scores to that user's
+    /// [`TopK`] heap, so the panel is reused from L1 by the whole share and
+    /// no score matrix is ever built.
     ///
     /// Bitwise equal to a full selection over [`ServingModel::score_batch`]:
     /// each dot product starts at `0.0` and accumulates in `k` order,
     /// skipping `u_k == 0` — the sequence the `ikj` matmul applies to each
     /// output element — the combine is `((μ + b_u) + b_i) + dot`, and items
     /// are offered in ascending id order.
-    fn top_k_batch_exact(&self, users: &[usize], k: usize) -> Vec<Vec<ScoredItem>> {
+    ///
+    /// # Panics
+    /// Panics if any user id is out of range.
+    pub fn top_k_batch(&self, users: &[usize], k: usize) -> Vec<Vec<ScoredItem>> {
+        for &u in users {
+            assert!(u < self.n_users(), "user id {u} out of range");
+        }
         let (d, m) = (self.dim(), self.n_items());
         let k = k.min(m);
         if k == 0 {
@@ -623,63 +451,6 @@ impl ServingModel {
         });
         slots.into_iter().map(|s| s.into_inner().expect("every row computed")).collect()
     }
-
-    /// The f32 fast path: the panel-packed kernel scores whole rows, and the
-    /// shared [`TopK`] heap selects over the f32 scores upcast one at a time
-    /// — no f64 score matrix is ever materialized.
-    fn top_k_batch_fast(&self, users: &[usize], k: usize) -> Vec<Vec<ScoredItem>> {
-        let m = self.n_items();
-        let fast = self.fast();
-        let slots: Vec<OnceLock<Vec<ScoredItem>>> =
-            (0..users.len()).map(|_| OnceLock::new()).collect();
-        let chunk = users.len().div_ceil(pool::lanes()).max(1);
-        pool::for_each_range(users.len(), chunk, |start, end| {
-            let mut scratch = vec![0.0f32; m];
-            for r in start..end {
-                fast.score_into(users[r], &mut scratch);
-                let mut heap = TopK::new(k.min(m));
-                for (i, &s) in scratch.iter().enumerate() {
-                    heap.offer(i as u32, s as f64);
-                }
-                let _ = slots[r].set(heap.finish());
-            }
-        });
-        slots.into_iter().map(|s| s.into_inner().expect("every row computed")).collect()
-    }
-
-    /// Scores every item for a batch of users in `f32`: returns a row-major
-    /// `[batch, n_items]` buffer from the panel-packed fast kernel. This is
-    /// the raw-score counterpart of [`ServingModel::score_batch`] for
-    /// [`ScorePrecision::Fast32`] consumers and benchmarks.
-    ///
-    /// # Panics
-    /// Panics if any user id is out of range.
-    pub fn score_batch_f32(&self, users: &[usize]) -> Vec<f32> {
-        let m = self.n_items();
-        for &u in users {
-            assert!(u < self.n_users(), "user id {u} out of range");
-        }
-        let fast = self.fast();
-        let slots: Vec<OnceLock<Vec<f32>>> = (0..users.len()).map(|_| OnceLock::new()).collect();
-        let chunk = users.len().div_ceil(pool::lanes()).max(1);
-        pool::for_each_range(users.len(), chunk, |start, end| {
-            for r in start..end {
-                let mut row = vec![0.0f32; m];
-                fast.score_into(users[r], &mut row);
-                let _ = slots[r].set(row);
-            }
-        });
-        let mut out = Vec::with_capacity(users.len() * m);
-        for s in slots {
-            out.extend(s.into_inner().expect("every row computed"));
-        }
-        out
-    }
-
-    /// The lazily-built f32 tables (one build per model, shared by clones).
-    fn fast(&self) -> &FastPath {
-        self.fast.get_or_init(|| FastPath::build(self))
-    }
 }
 
 /// The dot products of one user row `u` with items `i..i + N`, read from
@@ -706,9 +477,7 @@ fn rank(a: &ScoredItem, b: &ScoredItem) -> std::cmp::Ordering {
     b.score.total_cmp(&a.score).then(a.item.cmp(&b.item))
 }
 
-/// Streaming selection of the top `k` candidates under [`rank`], shared by
-/// the exact and fast paths so both make the same selection for the same
-/// scores: candidates are offered one at a time into a bounded
+/// Streaming selection of the top `k` candidates under [`rank`]: candidates are offered one at a time into a bounded
 /// worst-at-root heap, and [`TopK::finish`] returns them best first.
 ///
 /// Most candidates score below the current k-th and are rejected by one
@@ -848,13 +617,6 @@ mod tests {
         }
     }
 
-    /// An Mf model with pseudo-random (LCG) embeddings so the f32 kernel sees
-    /// non-trivial rounding; `n_items` is deliberately not a multiple of
-    /// [`F32_LANES`] so every panel-tail branch runs.
-    fn lcg_model(n_users: usize, n_items: usize, d: usize) -> ServingModel {
-        mf_model(n_users, n_items, d, lcg())
-    }
-
     /// The three-pass oracle's selection: every score of one row offered to
     /// [`TopK`] in item order.
     fn top_k_row(row: &[f64], k: usize) -> Vec<ScoredItem> {
@@ -917,57 +679,6 @@ mod tests {
             }
         }
         pool::configure_threads(0);
-    }
-
-    #[test]
-    fn fast32_scores_track_exact_within_tolerance() {
-        // 29 items: 3 full panels + a 5-item tail.
-        let model = lcg_model(7, 29, 16);
-        let users: Vec<usize> = (0..model.n_users()).collect();
-        let exact = model.score_batch(&users);
-        let fast = model.score_batch_f32(&users);
-        assert_eq!(fast.len(), users.len() * model.n_items());
-        for (e, f) in exact.data().iter().zip(&fast) {
-            assert!((e - *f as f64).abs() < 1e-4, "exact {e} vs fast {f}");
-        }
-    }
-
-    #[test]
-    fn fast32_top_k_matches_exact_on_separated_scores() {
-        let model = lcg_model(5, 23, 8);
-        let users = [0usize, 3, 4, 1];
-        let exact = model.top_k_batch_with(&users, 6, ScorePrecision::Exact64);
-        let fast = model.top_k_batch_with(&users, 6, ScorePrecision::Fast32);
-        assert_eq!(exact, model.top_k_batch(&users, 6));
-        for (erow, frow) in exact.iter().zip(&fast) {
-            assert_eq!(erow.len(), frow.len());
-            for (e, f) in erow.iter().zip(frow) {
-                // With random embeddings neighboring scores are far apart
-                // relative to f32 rounding, so the item *sets and order*
-                // agree; only the score bits differ.
-                assert_eq!(e.item, f.item);
-                assert!((e.score - f.score).abs() < 1e-4);
-            }
-        }
-    }
-
-    #[test]
-    fn fast32_top_k_handles_k_edge_cases() {
-        let model = lcg_model(3, 10, 4);
-        assert!(model.top_k_batch_with(&[1], 0, ScorePrecision::Fast32)[0].is_empty());
-        let all = model.top_k_batch_with(&[1], 50, ScorePrecision::Fast32);
-        assert_eq!(all[0].len(), 10);
-    }
-
-    #[test]
-    fn precision_parses_and_round_trips() {
-        assert_eq!("exact64".parse::<ScorePrecision>().unwrap(), ScorePrecision::Exact64);
-        assert_eq!("f64".parse::<ScorePrecision>().unwrap(), ScorePrecision::Exact64);
-        assert_eq!("Fast32".parse::<ScorePrecision>().unwrap(), ScorePrecision::Fast32);
-        assert_eq!("f32".parse::<ScorePrecision>().unwrap(), ScorePrecision::Fast32);
-        assert!("quad".parse::<ScorePrecision>().is_err());
-        assert_eq!(ScorePrecision::Fast32.to_string(), "fast32");
-        assert_eq!(ScorePrecision::default(), ScorePrecision::Exact64);
     }
 
     #[test]

@@ -27,7 +27,7 @@
 use std::sync::{Arc, Mutex, MutexGuard};
 
 use crate::engine::{ServeConfig, ServeEngine, ServeStats, ServeSummary, SwapError};
-use crate::model::{ScorePrecision, ScoredItem, ServingModel};
+use crate::model::{ScoredItem, ServingModel};
 
 /// A cloneable, `Send + Sync` front end over one [`ServeEngine`].
 ///
@@ -59,18 +59,6 @@ impl SharedServeEngine {
     /// Panics if any user id is out of range for the model.
     pub fn serve_batch(&self, users: &[usize]) -> Vec<Arc<Vec<ScoredItem>>> {
         self.lock().serve_batch(users)
-    }
-
-    /// [`ServeEngine::serve_batch_with`] under the engine lock.
-    ///
-    /// # Panics
-    /// Panics if any user id is out of range for the model.
-    pub fn serve_batch_with(
-        &self,
-        users: &[usize],
-        precision: ScorePrecision,
-    ) -> Vec<Arc<Vec<ScoredItem>>> {
-        self.lock().serve_batch_with(users, precision)
     }
 
     /// [`ServeEngine::try_swap`] under the engine lock: the swap waits for

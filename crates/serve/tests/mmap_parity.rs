@@ -1,14 +1,13 @@
 //! Zero-copy parity: a `ServingModel` opened over an mmapped v2 snapshot
 //! must serve **bit-identical** answers to one built from the same snapshot
-//! on the heap — across model kinds, training backends and both scoring
-//! precisions — and the mapped open path must reject structural corruption
-//! with typed errors.
+//! on the heap — across model kinds and training backends — and the mapped
+//! open path must reject structural corruption with typed errors.
 
 use msopds_recsys::snapshot::{
     MappedSnapshot, ModelKind, Snapshot, SnapshotError, SnapshotHeader, SnapshotSource,
 };
 use msopds_recsys::Backend;
-use msopds_serve::{ScorePrecision, ServingModel};
+use msopds_serve::ServingModel;
 use proptest::prelude::*;
 
 use msopds_autograd::Tensor;
@@ -75,27 +74,13 @@ fn mmap_and_heap_models_serve_bit_identical_top_k() {
             assert_eq!(mapped.backend(), backend);
 
             let users: Vec<usize> = (0..17).collect();
-            // Exact64: bit-identical scores and lists.
+            // Bit-identical scores and lists.
             let hs = heap.score_batch(&users);
             let ms = mapped.score_batch(&users);
             for (a, b) in hs.data().iter().zip(ms.data()) {
                 assert_eq!(a.to_bits(), b.to_bits(), "score drifted between storages");
             }
-            assert_eq!(
-                heap.top_k_batch_with(&users, 7, ScorePrecision::Exact64),
-                mapped.top_k_batch_with(&users, 7, ScorePrecision::Exact64),
-            );
-            // Fast32: the f32 tables are built from the same payload bytes,
-            // so the fast path is bit-identical across storages too.
-            let hf = heap.score_batch_f32(&users);
-            let mf = mapped.score_batch_f32(&users);
-            for (a, b) in hf.iter().zip(&mf) {
-                assert_eq!(a.to_bits(), b.to_bits(), "f32 score drifted between storages");
-            }
-            assert_eq!(
-                heap.top_k_batch_with(&users, 7, ScorePrecision::Fast32),
-                mapped.top_k_batch_with(&users, 7, ScorePrecision::Fast32),
-            );
+            assert_eq!(heap.top_k_batch(&users, 7), mapped.top_k_batch(&users, 7));
             // Single-pair predicts agree bitwise as well.
             for u in [0usize, 5, 16] {
                 for i in [0usize, 11, 28] {

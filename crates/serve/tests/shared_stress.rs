@@ -22,7 +22,7 @@ use std::sync::Arc;
 use msopds_autograd::Tensor;
 use msopds_recsys::snapshot::{ModelKind, Snapshot, SnapshotHeader};
 use msopds_recsys::Backend;
-use msopds_serve::{ScorePrecision, ServeConfig, ServeEngine, ServingModel, SharedServeEngine};
+use msopds_serve::{ServeConfig, ServeEngine, ServingModel, SharedServeEngine};
 
 /// A deterministic LCG-filled model; `scale` lets tests mint "retrained"
 /// variants with identical shapes and fingerprints but different answers.
@@ -74,7 +74,7 @@ fn concurrent_batches_keep_accounting_exact_and_answers_bitwise() {
     // cache_capacity 8 over 40 users: almost every batch evicts.
     let shared = SharedServeEngine::new(ServeEngine::new(
         model,
-        ServeConfig { top_k: 5, cache_capacity: 8, precision: ScorePrecision::Exact64 },
+        ServeConfig { top_k: 5, cache_capacity: 8, ..ServeConfig::default() },
     ));
 
     let mut expected_queries = 0u64;

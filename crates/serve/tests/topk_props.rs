@@ -1,25 +1,19 @@
-//! Property tests for top-K selection, shared across both scoring paths.
+//! Property tests for top-K selection.
 //!
 //! Invariants, for arbitrary valid models and any `k` (including `k = 0`
 //! and `k ≥ n_items`):
 //!
-//! 1. **reference order** — `top_k_batch_with` equals a brute-force full
-//!    sort of that path's own scores under the serving total order (score
+//! 1. **reference order** — `top_k_batch` equals a brute-force full sort
+//!    of `score_batch`'s scores under the serving total order (score
 //!    descending, item id ascending), truncated to `k`;
 //! 2. **tie discipline** — with payloads quantized so duplicate scores are
-//!    common, ties always resolve by ascending item id on both paths;
-//! 3. **NaN-free** — served scores never contain NaNs for finite models,
-//!    on either path.
-//!
-//! Both [`ScorePrecision`] variants run through the same assertions: the
-//! fast path is compared against *its own* f32 scores (the fidelity gap to
-//! f64 is covered by the tolerance-trace tests, not here — this file pins
-//! the selection logic itself).
+//!    common, ties always resolve by ascending item id;
+//! 3. **NaN-free** — served scores never contain NaNs for finite models.
 
 use msopds_autograd::Tensor;
 use msopds_recsys::snapshot::{ModelKind, Snapshot, SnapshotHeader};
 use msopds_recsys::Backend;
-use msopds_serve::{ScorePrecision, ScoredItem, ServingModel};
+use msopds_serve::{ScoredItem, ServingModel};
 use proptest::prelude::*;
 
 /// Splitmix64 — expands one strategy-drawn seed into tensor payloads (the
@@ -34,8 +28,7 @@ fn splitmix(state: &mut u64) -> u64 {
 
 /// `n` floats drawn from a *coarse* grid (multiples of 0.25 in [-2, 2]) so
 /// that dot products collide often and the tiebreak path is exercised on
-/// nearly every case; all values are exactly representable in f32, so the
-/// grid survives the fast path's downcast intact.
+/// nearly every case.
 fn quantized(state: &mut u64, n: usize) -> Vec<f64> {
     (0..n).map(|_| (splitmix(state) % 17) as f64 * 0.25 - 2.0).collect()
 }
@@ -97,38 +90,17 @@ fn reference_top_k(scores: &[f64], k: usize) -> Vec<ScoredItem> {
     all
 }
 
-/// Row-major `[batch, n_items]` scores as the given path computes them.
-fn path_scores(model: &ServingModel, users: &[usize], precision: ScorePrecision) -> Vec<f64> {
-    match precision {
-        ScorePrecision::Exact64 => model.score_batch(users).data().to_vec(),
-        ScorePrecision::Fast32 => {
-            model.score_batch_f32(users).into_iter().map(|s| s as f64).collect()
-        }
-    }
-}
-
-fn check_path(
-    model: &ServingModel,
-    k: usize,
-    precision: ScorePrecision,
-) -> Result<(), TestCaseError> {
+fn check_top_k(model: &ServingModel, k: usize) -> Result<(), TestCaseError> {
     let users: Vec<usize> = (0..model.n_users()).collect();
     let m = model.n_items();
-    let scores = path_scores(model, &users, precision);
-    let lists = model.top_k_batch_with(&users, k, precision);
+    let scores = model.score_batch(&users).data().to_vec();
+    let lists = model.top_k_batch(&users, k);
     prop_assert_eq!(lists.len(), users.len());
     for (r, list) in lists.iter().enumerate() {
         let row = &scores[r * m..(r + 1) * m];
-        prop_assert!(row.iter().all(|s| !s.is_nan()), "NaN score on {} path", precision);
+        prop_assert!(row.iter().all(|s| !s.is_nan()), "NaN score");
         let expect = reference_top_k(row, k);
-        prop_assert_eq!(
-            list,
-            &expect,
-            "user {} k {} on {} path deviates from full-sort reference",
-            r,
-            k,
-            precision
-        );
+        prop_assert_eq!(list, &expect, "user {} k {} deviates from full-sort reference", r, k);
         // Redundant with the reference, but pins the tie rule explicitly.
         for w in list.windows(2) {
             prop_assert!(rank(&w[0], &w[1]).is_lt());
@@ -141,13 +113,11 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
     #[test]
-    fn both_paths_match_full_sort_reference(model in arb_model(), k_raw in 0usize..32) {
+    fn top_k_matches_full_sort_reference(model in arb_model(), k_raw in 0usize..32) {
         // k sweeps through 0, interior values, exactly n_items, and beyond.
-        for precision in [ScorePrecision::Exact64, ScorePrecision::Fast32] {
-            check_path(&model, k_raw, precision)?;
-            check_path(&model, 0, precision)?;
-            check_path(&model, model.n_items(), precision)?;
-            check_path(&model, model.n_items() + 3, precision)?;
-        }
+        check_top_k(&model, k_raw)?;
+        check_top_k(&model, 0)?;
+        check_top_k(&model, model.n_items())?;
+        check_top_k(&model, model.n_items() + 3)?;
     }
 }

@@ -41,7 +41,7 @@ const USAGE: &str = "usage: serve batch --snapshot FILE [--mmap] [--batch N=64] 
        serve load --snapshot FILE [--mmap] [--requests N=4096] [--offered QPS=20000] [--top-k K=10] [--cache N=256]
        serve listen ADDR --snapshot FILE [--mmap] [--top-k K=10] [--cache N=256]
        serve connect ADDR [--requests N=4096] [--users N=64] [--query-deadline-us N=0]
-every mode also takes [--precision exact64|fast32] [--threads N] [--backend dense|sparse] [--metrics-out FILE] [--deadline-us N] [--max-batch N] [--queue-cap N] [--conn-window N] [--drain-ms N]";
+every mode also takes [--threads N] [--backend dense|sparse] [--metrics-out FILE] [--deadline-us N] [--max-batch N] [--queue-cap N] [--conn-window N] [--drain-ms N]";
 
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 enum Mode {
@@ -156,8 +156,8 @@ impl Opts {
         Ok(model)
     }
 
-    fn serve_config(&self, runtime: &RuntimeConfig) -> ServeConfig {
-        ServeConfig { top_k: self.top_k, cache_capacity: self.cache, precision: runtime.precision }
+    fn serve_config(&self) -> ServeConfig {
+        ServeConfig { top_k: self.top_k, cache_capacity: self.cache, ..ServeConfig::default() }
     }
 
     fn async_config(&self, runtime: &RuntimeConfig) -> AsyncServeConfig {
@@ -167,7 +167,7 @@ impl Opts {
                 max_batch: runtime.max_batch,
                 queue_cap: runtime.queue_cap,
             },
-            serve: self.serve_config(runtime),
+            serve: self.serve_config(),
         }
     }
 }
@@ -209,7 +209,7 @@ fn main() {
     runtime.install();
     msopds_autograd::pool::configure_threads(runtime.threads);
     let code = match mode {
-        Mode::Batch => run_batch(&opts, &runtime),
+        Mode::Batch => run_batch(&opts),
         Mode::Load => run_load(&opts, &runtime),
         Mode::Listen => run_listen(&addr, &opts, &runtime),
         Mode::Connect => run_connect(&addr, &opts, &runtime),
@@ -219,10 +219,10 @@ fn main() {
 }
 
 /// Batch mode: the query stream through the synchronous engine.
-fn run_batch(opts: &Opts, runtime: &RuntimeConfig) -> Result<(), i32> {
+fn run_batch(opts: &Opts) -> Result<(), i32> {
     let model = opts.load_model()?;
     let n_users = model.n_users();
-    let mut engine = ServeEngine::new(model, opts.serve_config(runtime));
+    let mut engine = ServeEngine::new(model, opts.serve_config());
     let stream: Vec<usize> = (0..opts.queries).map(|q| stream_user(q, n_users)).collect();
     for chunk in stream.chunks(opts.batch) {
         engine.serve_batch(chunk);
@@ -230,10 +230,9 @@ fn run_batch(opts: &Opts, runtime: &RuntimeConfig) -> Result<(), i32> {
 
     let s = engine.summary();
     eprintln!(
-        "serve: {} queries in {} batches ({} scoring) — {:.0} users/sec, p50 {} µs, p99 {} µs, {} cache hits / {} misses",
+        "serve: {} queries in {} batches — {:.0} users/sec, p50 {} µs, p99 {} µs, {} cache hits / {} misses",
         s.queries,
         s.batches,
-        runtime.precision,
         s.users_per_sec,
         s.p50_us,
         s.p99_us,
@@ -241,12 +240,11 @@ fn run_batch(opts: &Opts, runtime: &RuntimeConfig) -> Result<(), i32> {
         s.cache_misses
     );
     println!(
-        "{{\"queries\":{},\"batches\":{},\"batch\":{},\"top_k\":{},\"precision\":\"{}\",\"users_per_sec\":{:.1},\"mean_us\":{:.1},\"p50_us\":{},\"p99_us\":{},\"cache_hits\":{},\"cache_misses\":{}}}",
+        "{{\"queries\":{},\"batches\":{},\"batch\":{},\"top_k\":{},\"users_per_sec\":{:.1},\"mean_us\":{:.1},\"p50_us\":{},\"p99_us\":{},\"cache_hits\":{},\"cache_misses\":{}}}",
         s.queries,
         s.batches,
         opts.batch,
         opts.top_k,
-        runtime.precision,
         s.users_per_sec,
         s.mean_us,
         s.p50_us,
@@ -281,7 +279,7 @@ fn run_load(opts: &Opts, runtime: &RuntimeConfig) -> Result<(), i32> {
         report.latency.p999_us,
     );
     println!(
-        "{{\"requests\":{},\"offered_qps\":{:.1},\"achieved_qps\":{:.1},\"accepted\":{},\"rejected\":{},\"completed\":{},\"completed_per_sec\":{:.1},\"batches\":{},\"flush_full\":{},\"flush_deadline\":{},\"flush_shutdown\":{},\"flush_idle\":{},\"mean_batch_fill\":{:.2},\"deadline_us\":{},\"max_batch\":{},\"queue_cap\":{},\"top_k\":{},\"precision\":\"{}\",\"mean_us\":{:.1},\"p50_us\":{},\"p99_us\":{},\"p999_us\":{},\"cache_hits\":{},\"cache_misses\":{}}}",
+        "{{\"requests\":{},\"offered_qps\":{:.1},\"achieved_qps\":{:.1},\"accepted\":{},\"rejected\":{},\"completed\":{},\"completed_per_sec\":{:.1},\"batches\":{},\"flush_full\":{},\"flush_deadline\":{},\"flush_shutdown\":{},\"flush_idle\":{},\"mean_batch_fill\":{:.2},\"deadline_us\":{},\"max_batch\":{},\"queue_cap\":{},\"top_k\":{},\"mean_us\":{:.1},\"p50_us\":{},\"p99_us\":{},\"p999_us\":{},\"cache_hits\":{},\"cache_misses\":{}}}",
         opts.requests,
         report.offered_qps,
         report.achieved_qps,
@@ -299,7 +297,6 @@ fn run_load(opts: &Opts, runtime: &RuntimeConfig) -> Result<(), i32> {
         runtime.max_batch,
         runtime.queue_cap,
         opts.top_k,
-        runtime.precision,
         report.latency.mean_us,
         report.latency.p50_us,
         report.latency.p99_us,
@@ -354,7 +351,7 @@ fn run_listen(addr: &str, opts: &Opts, runtime: &RuntimeConfig) -> Result<(), i3
         stats.balanced(),
     );
     println!(
-        "{{\"offered\":{},\"completed\":{},\"rejected\":{},\"rejected_overload\":{},\"rejected_unknown_user\":{},\"rejected_deadline\":{},\"drained\":{},\"undelivered\":{},\"balanced\":{},\"conns_accepted\":{},\"conns_evicted\":{},\"torn_disconnects\":{},\"codec_errors\":{},\"deadline_us\":{},\"max_batch\":{},\"queue_cap\":{},\"conn_window\":{},\"drain_ms\":{},\"top_k\":{},\"precision\":\"{}\"}}",
+        "{{\"offered\":{},\"completed\":{},\"rejected\":{},\"rejected_overload\":{},\"rejected_unknown_user\":{},\"rejected_deadline\":{},\"drained\":{},\"undelivered\":{},\"balanced\":{},\"conns_accepted\":{},\"conns_evicted\":{},\"torn_disconnects\":{},\"codec_errors\":{},\"deadline_us\":{},\"max_batch\":{},\"queue_cap\":{},\"conn_window\":{},\"drain_ms\":{},\"top_k\":{}}}",
         stats.offered,
         stats.completed,
         stats.rejected,
@@ -374,7 +371,6 @@ fn run_listen(addr: &str, opts: &Opts, runtime: &RuntimeConfig) -> Result<(), i3
         runtime.conn_window,
         runtime.drain_ms,
         opts.top_k,
-        runtime.precision,
     );
     if !stats.balanced() {
         eprintln!("serve: accounting identity violated after drain");

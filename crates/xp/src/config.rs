@@ -11,7 +11,6 @@ use msopds_gameplay::GameConfig;
 use msopds_recdata::{DatasetSpec, DemographicsSpec};
 use msopds_recsys::pds::PdsConfig;
 use msopds_recsys::{Backend, HetRecConfig};
-use msopds_serve::ScorePrecision;
 use msopds_telemetry as telemetry;
 use serde::{Deserialize, Serialize};
 
@@ -186,11 +185,6 @@ pub struct RuntimeConfig {
     /// Train the clean victim and persist its model snapshot here (the
     /// `repro --snapshot-out` / `repro snapshot` read-path handoff).
     pub snapshot_out: Option<PathBuf>,
-    /// Scoring kernel of the serving read path (`--precision` /
-    /// `MSOPDS_PRECISION`): bit-exact f64 by default, opt-in f32 fast path.
-    /// Only the serving front ends consume this — planners and training are
-    /// always f64.
-    pub precision: ScorePrecision,
     /// Async-serving latency budget in microseconds (`--deadline-us` /
     /// `MSOPDS_DEADLINE_US`). The batcher never holds a query back while
     /// its dispatcher is idle; a batch whose oldest query waited at least
@@ -237,7 +231,6 @@ impl RuntimeConfig {
             resume: false,
             retries: crate::runner::DEFAULT_RETRIES,
             snapshot_out: None,
-            precision: ScorePrecision::from_env(),
             deadline_us: env_count("MSOPDS_DEADLINE_US", 200),
             max_batch: env_count("MSOPDS_MAX_BATCH", 1024) as usize,
             queue_cap: env_count("MSOPDS_QUEUE_CAP", 8192) as usize,
@@ -336,12 +329,6 @@ impl RuntimeConfigBuilder {
         self
     }
 
-    /// Overrides the serving scoring kernel.
-    pub fn precision(mut self, precision: ScorePrecision) -> Self {
-        self.0.precision = precision;
-        self
-    }
-
     /// Overrides the async-serving latency budget, microseconds.
     pub fn deadline_us(mut self, us: u64) -> Self {
         self.0.deadline_us = us;
@@ -377,9 +364,8 @@ impl RuntimeConfigBuilder {
     ///
     /// Recognized: `--threads N`, `--backend dense|sparse`,
     /// `--metrics-out FILE`, `--journal FILE`, `--resume`, `--retries N`,
-    /// `--snapshot-out FILE`, `--precision exact64|fast32`,
-    /// `--deadline-us N`, `--max-batch N`, `--queue-cap N`,
-    /// `--conn-window N`, `--drain-ms N`.
+    /// `--snapshot-out FILE`, `--deadline-us N`, `--max-batch N`,
+    /// `--queue-cap N`, `--conn-window N`, `--drain-ms N`.
     /// Errors name the offending flag, for `exit(2)`-style usage reporting.
     pub fn parse_cli(mut self, args: &[String]) -> Result<(Self, Vec<String>), String> {
         let mut rest = Vec::new();
@@ -414,11 +400,6 @@ impl RuntimeConfigBuilder {
                     self.0.retries = value(&mut i, "--retries")?
                         .parse()
                         .map_err(|_| "--retries takes an integer".to_string())?;
-                }
-                "--precision" => {
-                    self.0.precision = value(&mut i, "--precision")?
-                        .parse()
-                        .map_err(|e| format!("--precision: {e}"))?;
                 }
                 "--deadline-us" => {
                     self.0.deadline_us = value(&mut i, "--deadline-us")?
@@ -536,8 +517,6 @@ mod tests {
             "m.json",
             "--snapshot-out",
             "victim.snap",
-            "--precision",
-            "fast32",
             "--deadline-us",
             "500",
             "--max-batch",
@@ -550,7 +529,6 @@ mod tests {
         assert_eq!(rt.backend, Backend::Sparse);
         assert_eq!(rt.retries, 2);
         assert!(rt.resume);
-        assert_eq!(rt.precision, ScorePrecision::Fast32);
         assert_eq!(rt.deadline_us, 500);
         assert_eq!(rt.max_batch, 64);
         assert_eq!(rt.queue_cap, 2048);
@@ -567,8 +545,6 @@ mod tests {
         assert!(cli(&["--threads"]).unwrap_err().contains("requires a value"));
         assert!(cli(&["--threads", "0"]).unwrap_err().contains("positive"));
         assert!(cli(&["--resume"]).unwrap_err().contains("--journal"));
-        assert!(cli(&["--precision", "f128"]).unwrap_err().contains("--precision"));
-        assert!(cli(&["--precision"]).unwrap_err().contains("requires a value"));
         assert!(cli(&["--deadline-us", "soon"]).unwrap_err().contains("--deadline-us"));
         assert!(cli(&["--max-batch", "0"]).unwrap_err().contains("--max-batch"));
         assert!(cli(&["--queue-cap", "0"]).unwrap_err().contains("--queue-cap"));
@@ -601,15 +577,6 @@ mod tests {
         assert!(cli(&["--conn-window", "x"]).unwrap_err().contains("--conn-window"));
         assert!(cli(&["--drain-ms", "soon"]).unwrap_err().contains("--drain-ms"));
         assert!(cli(&["--drain-ms"]).unwrap_err().contains("requires a value"));
-    }
-
-    #[test]
-    fn runtime_precision_defaults_exact_and_parses() {
-        let rt = RuntimeConfig::builder().build().unwrap();
-        assert_eq!(rt.precision, ScorePrecision::Exact64);
-        let (rt, rest) = cli(&["--precision", "f32", "serve"]).unwrap();
-        assert_eq!(rt.precision, ScorePrecision::Fast32);
-        assert_eq!(rest, vec!["serve".to_string()]);
     }
 
     #[test]

@@ -7,10 +7,10 @@
 //! - **G2** `dynamic_batching_outcompletes_batch1_at_equal_load`: at 3×,
 //!   4× and 5× the measured batch-1 capacity, the async tier completes more
 //!   queries per second than a forced batch-1 dispatcher offered the same
-//!   open-loop load, at both scoring precisions.
+//!   open-loop load.
 //! - **G3** `four_connect_processes_outcomplete_one`: four `serve connect`
 //!   processes complete more per second against one `serve listen` than
-//!   one process does, at both scoring precisions.
+//!   one process does.
 //!
 //! Timings only mean something in an optimized build, so every gate is
 //! ignored by default. Run them with
@@ -26,7 +26,7 @@ use std::time::{Duration, Instant};
 
 use common::{json_of, serve, Json, Listener};
 use msopds_recsys::Backend;
-use msopds_serve::{ScorePrecision, ServeConfig, ServeEngine, ServingModel, SnapshotSource};
+use msopds_serve::{ServeConfig, ServeEngine, ServingModel, SnapshotSource};
 use msopds_serve_async::{
     run_open_loop, stream_user, AsyncServeConfig, AsyncServer, BatcherConfig, LoadGenConfig,
     LoadReport,
@@ -123,7 +123,6 @@ fn batch1024_engine_outserves_batch1() {
 fn open_loop(
     model: &ServingModel,
     max_batch: usize,
-    precision: ScorePrecision,
     requests: usize,
     offered_qps: f64,
 ) -> LoadReport {
@@ -136,7 +135,7 @@ fn open_loop(
                 max_batch,
                 queue_cap: 256,
             },
-            serve: ServeConfig { top_k: TOP_K, cache_capacity: n_users, precision },
+            serve: ServeConfig { top_k: TOP_K, cache_capacity: n_users, ..ServeConfig::default() },
         },
     );
     server.warm(&(0..n_users).collect::<Vec<_>>());
@@ -152,27 +151,20 @@ fn dynamic_batching_outcompletes_batch1_at_equal_load() {
     let snap = victim_snapshot("g2", Backend::Dense);
     let model = load(&snap);
     std::fs::remove_file(&snap).ok();
-    for precision in [ScorePrecision::Exact64, ScorePrecision::Fast32] {
-        // Batch-1 saturation: offer far past capacity, after one warm-up run
-        // that pages in the model and the dispatcher thread.
-        open_loop(&model, 1, precision, 1_000, 1e6);
-        let capacity = open_loop(&model, 1, precision, 4_000, 1e6).completed_per_sec;
-        for point in [3.0, 4.0, 5.0] {
-            // Past ~3.2M attempts/s one submit loop measures itself, not
-            // the tier, so the offered rate is clamped there.
-            let offered = (capacity * point).min(3.2e6);
-            let requests = ((offered * 0.6) as usize).clamp(1_000, 8_000);
-            let batched = open_loop(&model, MAX_BATCH, precision, requests, offered);
-            let single = open_loop(&model, 1, precision, requests, offered);
-            let (b, s) = (batched.completed_per_sec, single.completed_per_sec);
-            eprintln!(
-                "G2 {precision} load{point}x ({offered:.0} qps): async {b:.0}/s, batch1 {s:.0}/s"
-            );
-            assert!(
-                b > s,
-                "{precision} at {point}x batch-1 capacity: async {b:.0}/s vs batch1 {s:.0}/s"
-            );
-        }
+    // Batch-1 saturation: offer far past capacity, after one warm-up run
+    // that pages in the model and the dispatcher thread.
+    open_loop(&model, 1, 1_000, 1e6);
+    let capacity = open_loop(&model, 1, 4_000, 1e6).completed_per_sec;
+    for point in [3.0, 4.0, 5.0] {
+        // Past ~3.2M attempts/s one submit loop measures itself, not
+        // the tier, so the offered rate is clamped there.
+        let offered = (capacity * point).min(3.2e6);
+        let requests = ((offered * 0.6) as usize).clamp(1_000, 8_000);
+        let batched = open_loop(&model, MAX_BATCH, requests, offered);
+        let single = open_loop(&model, 1, requests, offered);
+        let (b, s) = (batched.completed_per_sec, single.completed_per_sec);
+        eprintln!("G2 load{point}x ({offered:.0} qps): async {b:.0}/s, batch1 {s:.0}/s");
+        assert!(b > s, "at {point}x batch-1 capacity: async {b:.0}/s vs batch1 {s:.0}/s");
     }
 }
 
@@ -218,33 +210,29 @@ fn four_connect_processes_outcomplete_one() {
     let users = load(&snap).n_users().to_string();
     // Equal total traffic at both fan-outs.
     let total = 16_000;
-    for precision in ["exact64", "fast32"] {
-        let server = Listener::spawn(
-            &snap,
-            &[
-                "--precision",
-                precision,
-                "--cache",
-                &users,
-                "--deadline-us",
-                &DEADLINE_US.to_string(),
-                "--max-batch",
-                &MAX_BATCH.to_string(),
-                "--queue-cap",
-                "8192",
-                "--conn-window",
-                "64",
-            ],
-        );
-        // One untimed pass fills the server's LRU with every streamed user.
-        aggregate_completions_per_sec(&server, 1, total);
-        let one = aggregate_completions_per_sec(&server, 1, total);
-        let four = aggregate_completions_per_sec(&server, 4, total / 4);
-        let out = server.sigterm();
-        assert!(out.status.success(), "listener exited {:?}", out.status);
-        assert_eq!(Json::parse(&out.stdout).0.field("balanced"), &Value::Bool(true));
-        eprintln!("G3 {precision}: 1 process {one:.0}/s, 4 processes {four:.0}/s");
-        assert!(four > one, "{precision}: 4 processes {four:.0}/s vs 1 process {one:.0}/s");
-    }
+    let server = Listener::spawn(
+        &snap,
+        &[
+            "--cache",
+            &users,
+            "--deadline-us",
+            &DEADLINE_US.to_string(),
+            "--max-batch",
+            &MAX_BATCH.to_string(),
+            "--queue-cap",
+            "8192",
+            "--conn-window",
+            "64",
+        ],
+    );
+    // One untimed pass fills the server's LRU with every streamed user.
+    aggregate_completions_per_sec(&server, 1, total);
+    let one = aggregate_completions_per_sec(&server, 1, total);
+    let four = aggregate_completions_per_sec(&server, 4, total / 4);
+    let out = server.sigterm();
+    assert!(out.status.success(), "listener exited {:?}", out.status);
+    assert_eq!(Json::parse(&out.stdout).0.field("balanced"), &Value::Bool(true));
+    eprintln!("G3: 1 process {one:.0}/s, 4 processes {four:.0}/s");
+    assert!(four > one, "4 processes {four:.0}/s vs 1 process {one:.0}/s");
     std::fs::remove_file(&snap).ok();
 }
