@@ -203,22 +203,8 @@ impl SparseMatrix {
         let (m, n) = (self.rows, self.cols);
         let (xr, d) = if x.rank() == 2 { (x.rows(), x.cols()) } else { (x.numel(), 1) };
         assert_eq!(n, xr, "spmm inner dims: {m}x{n} · {:?}", x.shape());
+        let xd = x.data();
         let mut out = pool::take_zeroed(m * d);
-        self.spmm_into(x.data(), d, &mut out);
-        if x.rank() == 2 {
-            Tensor::from_owned(out, [m, d], 2)
-        } else {
-            Tensor::from_owned(out, [m, 1], 1)
-        }
-    }
-
-    /// The `spmm` kernel writing into a caller-owned `[rows, d]` buffer —
-    /// the building block [`SparseShards`] uses to assemble one output from
-    /// row-band shards without a gather copy. Accumulation per output row is
-    /// sequential in CSR order, identical to [`SparseMatrix::spmm`].
-    pub(crate) fn spmm_into(&self, xd: &[f64], d: usize, out: &mut [f64]) {
-        let m = self.rows;
-        debug_assert_eq!(out.len(), m * d);
         let row_band = |rows_out: &mut [f64], i0: usize| {
             for (ri, orow) in rows_out.chunks_mut(d).enumerate() {
                 let i = i0 + ri;
@@ -233,7 +219,7 @@ impl SparseMatrix {
             }
         };
         if !pool::should_parallelize(self.nnz() * d, pool::matmul_min()) {
-            row_band(out, 0);
+            row_band(&mut out, 0);
         } else {
             // Same chunking policy as the dense matmul: ~4 chunks per lane
             // keeps work stealing effective under skewed row lengths.
@@ -245,187 +231,10 @@ impl SparseMatrix {
                 row_band(rows, r0);
             });
         }
-    }
-
-    /// Splits into `k` contiguous row-range shards (the last shard absorbs
-    /// the remainder rows). Each shard is a standalone CSR matrix over the
-    /// full column space, so `shard.spmm(x)` produces exactly the rows
-    /// `starts[s]..starts[s+1]` of `self.spmm(x)`.
-    fn split_rows(&self, k: usize) -> SparseShards {
-        let k = k.clamp(1, self.rows.max(1));
-        let per = self.rows.div_ceil(k).max(1);
-        let mut starts = vec![0usize];
-        let mut shards = Vec::new();
-        let mut r0 = 0;
-        while r0 < self.rows {
-            let r1 = (r0 + per).min(self.rows);
-            let base = self.row_ptr[r0];
-            let row_ptr: Vec<usize> = self.row_ptr[r0..=r1].iter().map(|&p| p - base).collect();
-            let span = self.row_ptr[r0]..self.row_ptr[r1];
-            shards.push(SparseMatrix {
-                rows: r1 - r0,
-                cols: self.cols,
-                row_ptr,
-                col_idx: self.col_idx[span.clone()].to_vec(),
-                vals: self.vals[span].to_vec(),
-            });
-            starts.push(r1);
-            r0 = r1;
-        }
-        if shards.is_empty() {
-            // Degenerate zero-row matrix: keep one empty shard so the
-            // invariant `starts.len() == shards.len() + 1` holds.
-            shards.push(self.clone());
-            starts = vec![0, 0];
-        }
-        SparseShards { rows: self.rows, cols: self.cols, starts, shards }
-    }
-}
-
-/// A CSR matrix split into contiguous row-range shards.
-///
-/// This is the million-user layout: each shard owns an independent CSR
-/// band (its `row_ptr` rebased to the band), so shards can be built,
-/// stored, and multiplied separately — across threads today, across
-/// processes or machines once the serving tier is distributed. Because
-/// [`SparseMatrix::spmm`] accumulates every output row sequentially in CSR
-/// order and each row lives in exactly one shard, a sharded product is
-/// **bit-identical** to the unsharded one at any shard count.
-#[derive(Clone, Debug)]
-pub struct SparseShards {
-    rows: usize,
-    cols: usize,
-    /// Row-range boundaries; shard `s` covers rows `starts[s]..starts[s+1]`.
-    starts: Vec<usize>,
-    shards: Vec<SparseMatrix>,
-}
-
-impl SparseShards {
-    /// Splits `m` into `k` contiguous row bands (clamped to `1..=rows`).
-    pub fn split(m: &SparseMatrix, k: usize) -> Self {
-        m.split_rows(k)
-    }
-
-    /// Number of rows of the full matrix.
-    pub fn rows(&self) -> usize {
-        self.rows
-    }
-
-    /// Number of columns of the full matrix.
-    pub fn cols(&self) -> usize {
-        self.cols
-    }
-
-    /// Number of shards.
-    pub fn shard_count(&self) -> usize {
-        self.shards.len()
-    }
-
-    /// Total stored entries across shards.
-    pub fn nnz(&self) -> usize {
-        self.shards.iter().map(SparseMatrix::nnz).sum()
-    }
-
-    /// Resident bytes across all shard CSR arrays.
-    pub fn resident_bytes(&self) -> usize {
-        self.shards.iter().map(SparseMatrix::resident_bytes).sum::<usize>()
-            + self.starts.len() * std::mem::size_of::<usize>()
-    }
-
-    /// The shards with their row ranges, for per-shard inspection.
-    pub fn bands(&self) -> impl Iterator<Item = (std::ops::Range<usize>, &SparseMatrix)> {
-        self.shards.iter().enumerate().map(|(s, m)| (self.starts[s]..self.starts[s + 1], m))
-    }
-
-    /// Reassembles the full matrix (tests and the transpose fallback).
-    pub fn to_matrix(&self) -> SparseMatrix {
-        let mut row_ptr = Vec::with_capacity(self.rows + 1);
-        row_ptr.push(0usize);
-        let mut col_idx = Vec::with_capacity(self.nnz());
-        let mut vals = Vec::with_capacity(self.nnz());
-        for shard in &self.shards {
-            let base = *row_ptr.last().unwrap();
-            row_ptr.extend(shard.row_ptr[1..].iter().map(|&p| p + base));
-            col_idx.extend_from_slice(&shard.col_idx);
-            vals.extend_from_slice(&shard.vals);
-        }
-        SparseMatrix { rows: self.rows, cols: self.cols, row_ptr, col_idx, vals }
-    }
-
-    /// Sharded sparse × dense product: every shard writes its own row band
-    /// of one shared output buffer. Bit-identical to
-    /// [`SparseMatrix::spmm`] on the unsharded matrix at any shard count.
-    ///
-    /// # Panics
-    /// Panics when the operand's leading dimension disagrees with `cols`.
-    pub fn spmm(&self, x: &Tensor) -> Tensor {
-        let (m, n) = (self.rows, self.cols);
-        let (xr, d) = if x.rank() == 2 { (x.rows(), x.cols()) } else { (x.numel(), 1) };
-        assert_eq!(n, xr, "sharded spmm inner dims: {m}x{n} · {:?}", x.shape());
-        let xd = x.data();
-        let mut out = pool::take_zeroed(m * d);
-        for (band, shard) in self.bands() {
-            shard.spmm_into(xd, d, &mut out[band.start * d..band.end * d]);
-        }
         if x.rank() == 2 {
             Tensor::from_owned(out, [m, d], 2)
         } else {
             Tensor::from_owned(out, [m, 1], 1)
-        }
-    }
-}
-
-/// One side (forward or backward orientation) of a [`SparseOperand`]: a
-/// whole CSR matrix or its row-range-sharded form. Both multiply a dense
-/// operand bit-identically; `Sharded` is the layout the million-user worlds
-/// use so adjacency never has to live in one contiguous allocation.
-#[derive(Clone, Debug)]
-pub enum SparseSide {
-    /// A single contiguous CSR matrix.
-    Whole(Arc<SparseMatrix>),
-    /// Contiguous row-range shards of the same matrix.
-    Sharded(Arc<SparseShards>),
-}
-
-impl SparseSide {
-    /// Sparse × dense product with this side's layout. Sharded and whole
-    /// layouts produce bit-identical results (see [`SparseShards::spmm`]).
-    pub fn spmm(&self, x: &Tensor) -> Tensor {
-        match self {
-            SparseSide::Whole(m) => m.spmm(x),
-            SparseSide::Sharded(s) => s.spmm(x),
-        }
-    }
-
-    /// Number of rows.
-    pub fn rows(&self) -> usize {
-        match self {
-            SparseSide::Whole(m) => m.rows(),
-            SparseSide::Sharded(s) => s.rows(),
-        }
-    }
-
-    /// Number of columns.
-    pub fn cols(&self) -> usize {
-        match self {
-            SparseSide::Whole(m) => m.cols(),
-            SparseSide::Sharded(s) => s.cols(),
-        }
-    }
-
-    /// Total stored entries.
-    pub fn nnz(&self) -> usize {
-        match self {
-            SparseSide::Whole(m) => m.nnz(),
-            SparseSide::Sharded(s) => s.nnz(),
-        }
-    }
-
-    /// Resident bytes of the CSR arrays.
-    pub fn resident_bytes(&self) -> usize {
-        match self {
-            SparseSide::Whole(m) => m.resident_bytes(),
-            SparseSide::Sharded(s) => s.resident_bytes(),
         }
     }
 }
@@ -435,20 +244,18 @@ impl SparseSide {
 /// The pairing makes the backward rule allocation-free: the VJP of
 /// `Spmm(A, x)` is `Spmm(Aᵀ, g)`, recorded by flipping a flag on the same
 /// shared operand — no transposition at backward time, no `Arc` cycles, and
-/// double backward (HVP) flips the flag back. Either side may be stored
-/// whole or as row-range shards ([`SparseSide`]); the symmetric sharded
-/// constructor shares one sharded buffer for both orientations.
+/// double backward (HVP) flips the flag back.
 #[derive(Debug)]
 pub struct SparseOperand {
-    fwd: SparseSide,
-    bwd: SparseSide,
+    fwd: Arc<SparseMatrix>,
+    bwd: Arc<SparseMatrix>,
 }
 
 impl SparseOperand {
     /// Pairs `m` with its transpose.
     pub fn new(m: SparseMatrix) -> Arc<Self> {
-        let bwd = SparseSide::Whole(Arc::new(m.transpose()));
-        Arc::new(Self { fwd: SparseSide::Whole(Arc::new(m)), bwd })
+        let bwd = Arc::new(m.transpose());
+        Arc::new(Self { fwd: Arc::new(m), bwd })
     }
 
     /// Pairs a symmetric `m` with itself, sharing one buffer.
@@ -457,29 +264,12 @@ impl SparseOperand {
     /// Debug-panics when `m` is not actually symmetric.
     pub fn symmetric(m: SparseMatrix) -> Arc<Self> {
         debug_assert!(m.is_symmetric(), "SparseOperand::symmetric needs A = Aᵀ");
-        let fwd = SparseSide::Whole(Arc::new(m));
-        Arc::new(Self { fwd: fwd.clone(), bwd: fwd })
-    }
-
-    /// Pairs a symmetric `m` with itself in `k` row-range shards, sharing
-    /// one sharded buffer for both orientations (valid because `A = Aᵀ`:
-    /// the row bands of `Aᵀ` are the same bands of `A`).
-    ///
-    /// # Panics
-    /// Debug-panics when `m` is not actually symmetric.
-    pub fn symmetric_sharded(m: SparseMatrix, k: usize) -> Arc<Self> {
-        debug_assert!(m.is_symmetric(), "SparseOperand::symmetric_sharded needs A = Aᵀ");
-        let fwd = SparseSide::Sharded(Arc::new(SparseShards::split(&m, k)));
-        Arc::new(Self { fwd: fwd.clone(), bwd: fwd })
-    }
-
-    /// The forward side in whichever layout it is stored.
-    pub fn forward(&self) -> &SparseSide {
-        &self.fwd
+        let fwd = Arc::new(m);
+        Arc::new(Self { fwd: Arc::clone(&fwd), bwd: fwd })
     }
 
     /// The side applied for a given orientation of the op.
-    pub(crate) fn side(&self, transposed: bool) -> &SparseSide {
+    pub(crate) fn side(&self, transposed: bool) -> &SparseMatrix {
         if transposed {
             &self.bwd
         } else {
@@ -575,63 +365,7 @@ mod tests {
     fn symmetric_operand_shares_buffers() {
         let a = SparseMatrix::from_triplets(2, 2, &[(0, 1, 1.0), (1, 0, 1.0)]);
         let op = SparseOperand::symmetric(a);
-        match (&op.fwd, &op.bwd) {
-            (SparseSide::Whole(f), SparseSide::Whole(b)) => assert!(Arc::ptr_eq(f, b)),
-            other => panic!("expected whole sides, got {other:?}"),
-        }
-    }
-
-    #[test]
-    fn sharded_spmm_is_bit_identical_at_any_shard_count() {
-        // A skewed matrix: some dense rows, some empty, non-uniform values.
-        let mut trips = Vec::new();
-        let mut state = 0x1234_5678u64;
-        let mut next = || {
-            state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
-            state
-        };
-        for r in 0..37 {
-            let deg = (next() % 9) as usize;
-            for _ in 0..deg {
-                let c = (next() % 23) as usize;
-                trips.push((r, c, (next() % 1000) as f64 / 313.0 - 1.5));
-            }
-        }
-        let a = SparseMatrix::from_triplets(37, 23, &trips);
-        let x = Tensor::from_vec((0..23 * 5).map(|i| (i as f64 * 0.71).cos()).collect(), &[23, 5]);
-        let whole = a.spmm(&x);
-        for k in [1, 2, 3, 7, 36, 37, 100] {
-            let shards = SparseShards::split(&a, k);
-            assert_eq!(shards.nnz(), a.nnz());
-            assert_eq!(shards.to_matrix(), a, "split/reassemble round trip at k={k}");
-            let sharded = shards.spmm(&x);
-            assert_eq!(sharded.shape(), whole.shape());
-            for (i, (&s, &w)) in sharded.data().iter().zip(whole.data().iter()).enumerate() {
-                assert_eq!(s.to_bits(), w.to_bits(), "k={k} elem {i}: {s} != {w}");
-            }
-        }
-    }
-
-    #[test]
-    fn sharded_symmetric_operand_drives_the_tape() {
-        // A symmetric 5x5 path graph, sharded 3 ways: tape forward and
-        // gradient must match the whole-matrix operand bit for bit.
-        let edges: Vec<(usize, usize, f64)> =
-            (0..4).flat_map(|i| [(i, i + 1, 1.0), (i + 1, i, 1.0)]).collect();
-        let a = SparseMatrix::from_triplets(5, 5, &edges);
-        let whole_op = SparseOperand::symmetric(a.clone());
-        let shard_op = SparseOperand::symmetric_sharded(a, 3);
-        assert_eq!(shard_op.forward().nnz(), whole_op.forward().nnz());
-        let x0 = Tensor::from_vec((0..10).map(|i| (i as f64 - 4.5) * 0.3).collect(), &[5, 2]);
-        let (tape_w, tape_s) = (Tape::new(), Tape::new());
-        let (xw, xs) = (tape_w.leaf(x0.clone()), tape_s.leaf(x0));
-        let (yw, ys) = (spmm(&whole_op, xw), spmm(&shard_op, xs));
-        assert_eq!(yw.value().to_vec(), ys.value().to_vec());
-        let gw = tape_w.grad(yw.mul(yw).sum(), &[xw]).remove(0);
-        let gs = tape_s.grad(ys.mul(ys).sum(), &[xs]).remove(0);
-        for (a, b) in gw.to_vec().iter().zip(gs.to_vec()) {
-            assert_eq!(a.to_bits(), b.to_bits(), "sharded gradient drifted");
-        }
+        assert!(Arc::ptr_eq(&op.fwd, &op.bwd));
     }
 
     #[test]

@@ -30,11 +30,6 @@ enum GraphTensorKind {
     Adjacency,
     InvDegree,
     SparseAdjacency,
-    /// Row-range-sharded CSR adjacency; the shard count is part of the key,
-    /// so differently-sharded views of one graph coexist in the cache.
-    ShardedAdjacency {
-        shards: u16,
-    },
 }
 
 /// A cached derived structure: a dense tensor or a CSR operand pair.
@@ -163,22 +158,6 @@ pub(crate) fn sparse_adjacency(g: &CsrGraph) -> Arc<SparseOperand> {
     }) {
         CachedValue::Sparse(s) => s,
         CachedValue::Dense(_) => unreachable!("SparseAdjacency entries are sparse"),
-    }
-}
-
-/// The CSR adjacency of `g` split into `shards` row-range bands, paired with
-/// itself (symmetric): the million-user layout behind `Backend::Sharded`.
-/// Bit-identical to [`sparse_adjacency`] under `Spmm` at any shard count;
-/// cached per thread keyed on (fingerprint, n, shard count).
-pub(crate) fn sparse_adjacency_sharded(g: &CsrGraph, shards: u16) -> Arc<SparseOperand> {
-    match cached_graph_structure(g, GraphTensorKind::ShardedAdjacency { shards }, || {
-        CachedValue::Sparse(SparseOperand::symmetric_sharded(
-            sparse_adjacency_uncached(g),
-            shards.max(1) as usize,
-        ))
-    }) {
-        CachedValue::Sparse(s) => s,
-        CachedValue::Dense(_) => unreachable!("ShardedAdjacency entries are sparse"),
     }
 }
 

@@ -32,13 +32,11 @@ use msopds_autograd::{sparse, SparseOperand, Tape, Var};
 use msopds_het_graph::CsrGraph;
 use serde::{Deserialize, Serialize};
 
-use crate::convolve::{
-    adjacency_patch, dense_adjacency, inv_degree, sparse_adjacency, sparse_adjacency_sharded,
-};
+use crate::convolve::{adjacency_patch, dense_adjacency, inv_degree, sparse_adjacency};
 
 /// How a [`GraphOps`] materializes adjacency operators.
 ///
-/// Serialized by variant name (`"Dense"` / `"Sparse"` / `"Sharded"`); parsed
+/// Serialized by variant name (`"Dense"` / `"Sparse"`); parsed
 /// case-insensitively from strings via [`FromStr`](std::str::FromStr).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub enum Backend {
@@ -47,17 +45,11 @@ pub enum Backend {
     Dense,
     /// CSR adjacency through the `Spmm` tape op; O(nnz·d) per aggregation.
     Sparse,
-    /// CSR adjacency split into the given number of row-range shards. Same
-    /// `Spmm` math as `Sparse` — per-row CSR-order accumulation makes any
-    /// row partition bit-identical — but each shard owns a contiguous band
-    /// of rows, the layout million-user worlds stream into and the worker
-    /// pool parallelizes over.
-    Sharded(u16),
 }
 
 impl Backend {
     /// The backend named by the `MSOPDS_BACKEND` environment variable
-    /// (`dense` | `sparse` | `sharded[:k]`), or `Dense` when unset. This is
+    /// (`dense` | `sparse`), or `Dense` when unset. This is
     /// what config defaults use, so `MSOPDS_BACKEND=sparse cargo test` runs
     /// the whole suite on the sparse path (the CI backend matrix).
     ///
@@ -71,48 +63,31 @@ impl Backend {
         }
     }
 
-    /// Canonical lowercase family name (`dense` | `sparse` | `sharded`).
-    /// Drops the shard count; use `Display` for the round-trippable form.
+    /// Canonical lowercase name (`dense` | `sparse`), the form
+    /// [`FromStr`](std::str::FromStr) parses back.
     pub fn as_str(&self) -> &'static str {
         match self {
             Backend::Dense => "dense",
             Backend::Sparse => "sparse",
-            Backend::Sharded(_) => "sharded",
         }
     }
 }
-
-/// Shard count used when `"sharded"` is parsed without an explicit `:k`.
-pub const DEFAULT_SHARDS: u16 = 4;
 
 impl std::str::FromStr for Backend {
     type Err = String;
 
     fn from_str(s: &str) -> Result<Self, Self::Err> {
-        let norm = s.trim().to_ascii_lowercase();
-        match norm.as_str() {
+        match s.trim().to_ascii_lowercase().as_str() {
             "dense" => Ok(Backend::Dense),
             "sparse" => Ok(Backend::Sparse),
-            "sharded" => Ok(Backend::Sharded(DEFAULT_SHARDS)),
-            other => match other.strip_prefix("sharded:") {
-                Some(k) => match k.parse::<u16>() {
-                    Ok(k) if k >= 1 => Ok(Backend::Sharded(k)),
-                    _ => Err(format!("bad shard count {k:?} (expected 1..=65535)")),
-                },
-                None => {
-                    Err(format!("unknown backend {other:?} (expected dense|sparse|sharded[:k])"))
-                }
-            },
+            other => Err(format!("unknown backend {other:?} (expected dense|sparse)")),
         }
     }
 }
 
 impl std::fmt::Display for Backend {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            Backend::Sharded(k) => write!(f, "sharded:{k}"),
-            other => f.write_str(other.as_str()),
-        }
+        f.write_str(self.as_str())
     }
 }
 
@@ -171,17 +146,13 @@ impl GraphOps {
                 });
                 Repr::Dense(a)
             }
-            Backend::Sparse | Backend::Sharded(_) => {
+            Backend::Sparse => {
                 let deltas = patches
                     .iter()
                     .filter(|p| !p.candidates.is_empty())
                     .map(|p| SparseDelta::build(g, p))
                     .collect();
-                let base = match self.backend {
-                    Backend::Sharded(k) => sparse_adjacency_sharded(g, k),
-                    _ => sparse_adjacency(g),
-                };
-                Repr::Sparse { base, deltas }
+                Repr::Sparse { base: sparse_adjacency(g), deltas }
             }
         };
         AdjacencyOp { n, repr }
@@ -294,15 +265,16 @@ mod tests {
     fn backend_parses_and_displays() {
         assert_eq!("dense".parse::<Backend>().unwrap(), Backend::Dense);
         assert_eq!("SPARSE".parse::<Backend>().unwrap(), Backend::Sparse);
-        assert_eq!("sharded".parse::<Backend>().unwrap(), Backend::Sharded(DEFAULT_SHARDS));
-        assert_eq!("Sharded:9".parse::<Backend>().unwrap(), Backend::Sharded(9));
         assert!("dens".parse::<Backend>().is_err());
-        assert!("sharded:0".parse::<Backend>().is_err());
-        assert!("sharded:lots".parse::<Backend>().is_err());
-        assert_eq!(Backend::Sparse.to_string(), "sparse");
-        assert_eq!(Backend::Sharded(9).to_string(), "sharded:9");
-        assert_eq!(Backend::Sharded(9).as_str(), "sharded");
-        assert_eq!("sharded:9".parse::<Backend>().unwrap().to_string(), "sharded:9");
+        // The retired row-sharded backend is refused, not mapped to another.
+        for gone in ["sharded", "sharded:4"] {
+            let err = gone.parse::<Backend>().unwrap_err();
+            assert!(err.contains("dense|sparse"), "{gone}: {err}");
+        }
+        for backend in [Backend::Dense, Backend::Sparse] {
+            assert_eq!(backend.to_string(), backend.as_str());
+            assert_eq!(backend.to_string().parse::<Backend>().unwrap(), backend);
+        }
         assert_eq!(Backend::default(), Backend::Dense);
     }
 
@@ -315,15 +287,6 @@ mod tests {
         let dense = GraphOps::new(Backend::Dense).adjacency(&tape, &g).matmul(h);
         let sparse = GraphOps::new(Backend::Sparse).adjacency(&tape, &g).matmul(h);
         assert!(dense.value().max_abs_diff(&sparse.value()) < 1e-12);
-        // Sharded is the same math partitioned by row band: bit-identical to
-        // sparse, not merely close.
-        for k in [1u16, 2, 3, 5] {
-            let sharded = GraphOps::new(Backend::Sharded(k)).adjacency(&tape, &g).matmul(h);
-            let (a, b) = (sparse.value(), sharded.value());
-            for (x, y) in a.data().iter().zip(b.data()) {
-                assert_eq!(x.to_bits(), y.to_bits(), "shard count {k} drifted");
-            }
-        }
     }
 
     #[test]
@@ -352,20 +315,12 @@ mod tests {
         // The unselected candidate (x̂ = 0) still receives gradient — the key
         // PDS property — on both backends.
         assert!(sparse_grad.get(1).abs() > 1e-12);
-        // The sharded base composes with the same delta chain, bit-for-bit.
-        let (sharded_out, sharded_grad) = run(Backend::Sharded(3));
-        for (x, y) in sparse_out.data().iter().zip(sharded_out.data()) {
-            assert_eq!(x.to_bits(), y.to_bits());
-        }
-        for (x, y) in sparse_grad.data().iter().zip(sharded_grad.data()) {
-            assert_eq!(x.to_bits(), y.to_bits());
-        }
     }
 
     #[test]
     fn attention_mask_is_dense_under_both_backends() {
         let g = CsrGraph::from_edges(3, &[(0, 2)]);
-        for backend in [Backend::Dense, Backend::Sparse, Backend::Sharded(2)] {
+        for backend in [Backend::Dense, Backend::Sparse] {
             let tape = Tape::new();
             let mask = GraphOps::new(backend).attention_mask(&tape, &g);
             assert_eq!(mask.value().shape(), &[3, 3]);

@@ -23,7 +23,7 @@ pub mod mf;
 pub mod pds;
 pub mod snapshot;
 
-pub use graphops::{AdjacencyOp, Backend, EdgePatch, GraphOps, DEFAULT_SHARDS};
+pub use graphops::{AdjacencyOp, Backend, EdgePatch, GraphOps};
 pub use hetrec::{HetRec, HetRecConfig, TrainReport};
 pub use mf::{MatrixFactorization, MfConfig};
 pub use pds::{build_pds, PdsBuild, PdsConfig, PlayerInput};

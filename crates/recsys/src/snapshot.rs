@@ -15,8 +15,8 @@
 //! magic            8 B   b"MSOSNAP\0"
 //! format version   u32   2
 //! model kind       u8    0 = HetRec, 1 = MatrixFactorization
-//! backend tag      u8    0 = dense, 1 = sparse, 2 = sharded
-//! reserved         u16   shard count when backend tag = 2, else 0
+//! backend tag      u8    0 = dense, 1 = sparse
+//! reserved         u16   0
 //! seed             u64   model init seed
 //! social fp        u64   CsrGraph::fingerprint of 𝒢ᵤ at fit time
 //! item fp          u64   CsrGraph::fingerprint of 𝒢ᵢ at fit time
@@ -324,25 +324,21 @@ fn align_up(x: usize) -> usize {
     x.div_ceil(SECTION_ALIGN) * SECTION_ALIGN
 }
 
-fn encode_backend(b: Backend) -> (u8, u16) {
+fn encode_backend(b: Backend) -> u8 {
     match b {
-        Backend::Dense => (0, 0),
-        Backend::Sparse => (1, 0),
-        Backend::Sharded(k) => (2, k),
+        Backend::Dense => 0,
+        Backend::Sparse => 1,
     }
 }
 
-fn decode_backend(tag: u8, reserved: u16) -> Result<Backend, SnapshotError> {
-    match (tag, reserved) {
-        (0, _) => Ok(Backend::Dense),
-        (1, _) => Ok(Backend::Sparse),
-        (2, k) if k >= 1 => Ok(Backend::Sharded(k)),
-        (2, _) => Err(SnapshotError::Corrupt {
-            context: "sharded backend tag with zero shard count".into(),
-        }),
-        (other, _) => {
-            Err(SnapshotError::Corrupt { context: format!("unknown backend tag {other}") })
-        }
+/// The reserved word after the tag is written as 0 and not interpreted.
+/// Tag 2 (the retired row-sharded backend, which kept its shard count in
+/// the reserved word) is refused like any other unknown tag.
+fn decode_backend(tag: u8, _reserved: u16) -> Result<Backend, SnapshotError> {
+    match tag {
+        0 => Ok(Backend::Dense),
+        1 => Ok(Backend::Sparse),
+        other => Err(SnapshotError::Corrupt { context: format!("unknown backend tag {other}") }),
     }
 }
 
@@ -433,9 +429,8 @@ fn write_prefix(out: &mut Vec<u8>, header: &SnapshotHeader) {
     out.extend_from_slice(&MAGIC);
     out.extend_from_slice(&FORMAT_VERSION.to_le_bytes());
     out.push(header.kind.tag());
-    let (tag, reserved) = encode_backend(header.backend);
-    out.push(tag);
-    out.extend_from_slice(&reserved.to_le_bytes());
+    out.push(encode_backend(header.backend));
+    out.extend_from_slice(&0u16.to_le_bytes());
     out.extend_from_slice(&header.seed.to_le_bytes());
     out.extend_from_slice(&header.social_fingerprint.to_le_bytes());
     out.extend_from_slice(&header.item_fingerprint.to_le_bytes());
@@ -1317,15 +1312,12 @@ mod tests {
     }
 
     #[test]
-    fn sharded_backend_round_trips() {
-        let mut snap = tiny_snapshot();
-        snap.header.backend = Backend::Sharded(6);
-        let back = Snapshot::from_bytes(&snap.to_bytes()).unwrap();
-        assert_eq!(back.header.backend, Backend::Sharded(6));
-        assert_eq!(
-            Snapshot::peek(&SnapshotSource::Owned(snap.to_bytes())).unwrap().backend,
-            Backend::Sharded(6)
-        );
+    fn retired_sharded_backend_tag_is_corrupt() {
+        for reserved in [0, 4] {
+            assert!(matches!(decode_backend(2, reserved), Err(SnapshotError::Corrupt { .. })));
+        }
+        assert_eq!(decode_backend(0, 0).unwrap(), Backend::Dense);
+        assert_eq!(decode_backend(1, 0).unwrap(), Backend::Sparse);
     }
 
     #[test]

@@ -59,7 +59,7 @@ fn temp_path(tag: &str, case: u64) -> std::path::PathBuf {
 fn mmap_and_heap_models_serve_bit_identical_top_k() {
     let mut case = 0u64;
     for kind in [ModelKind::Mf, ModelKind::HetRec] {
-        for backend in [Backend::Dense, Backend::Sparse, Backend::Sharded(3)] {
+        for backend in [Backend::Dense, Backend::Sparse] {
             case += 1;
             let snap = model_snapshot(kind, backend, 17, 29, 6);
             let path = temp_path("topk", case);

@@ -541,6 +541,9 @@ mod tests {
     #[test]
     fn runtime_cli_rejects_bad_input() {
         assert!(cli(&["--backend", "dens"]).unwrap_err().contains("--backend"));
+        // The retired row-sharded backend must fail loudly, not fall back.
+        let err = cli(&["--backend", "sharded"]).unwrap_err();
+        assert!(err.contains("--backend") && err.contains("dense|sparse"), "{err}");
         assert!(cli(&["--threads", "x"]).unwrap_err().contains("--threads"));
         assert!(cli(&["--threads"]).unwrap_err().contains("requires a value"));
         assert!(cli(&["--threads", "0"]).unwrap_err().contains("positive"));
