@@ -870,14 +870,6 @@ impl Backing {
             Backing::Heap { .. } => false,
         }
     }
-
-    fn heap_bytes(&self) -> usize {
-        match self {
-            #[cfg(unix)]
-            Backing::Mapped(_) => 0,
-            Backing::Heap { buf, .. } => buf.len() * 8,
-        }
-    }
 }
 
 /// A zero-copy view of one tensor inside a [`MappedSnapshot`].
@@ -970,11 +962,6 @@ impl MappedSnapshot {
         &self.config_json
     }
 
-    /// Tensor names in directory order.
-    pub fn tensor_names(&self) -> impl Iterator<Item = &str> {
-        self.entries.iter().map(|e| e.name.as_str())
-    }
-
     /// A zero-copy view of the named tensor, if present.
     pub fn view(&self, name: &str) -> Option<TensorView<'_>> {
         let e = self.entries.iter().find(|e| e.name == name)?;
@@ -1012,12 +999,6 @@ impl MappedSnapshot {
     /// True when payloads live in a file mapping rather than the heap.
     pub fn is_zero_copy(&self) -> bool {
         self.backing.is_mapped()
-    }
-
-    /// Heap bytes held for payloads: 0 when mapped, the buffer size on the
-    /// fallback path. Directory strings are excluded (O(header)).
-    pub fn heap_resident_bytes(&self) -> usize {
-        self.backing.heap_bytes()
     }
 }
 
@@ -1407,7 +1388,6 @@ mod tests {
         let mapped = MappedSnapshot::open(&path).unwrap();
         assert_eq!(mapped.header(), &snap.header);
         assert_eq!(mapped.config_json(), snap.config_json);
-        assert_eq!(mapped.tensor_names().collect::<Vec<_>>(), ["a", "b", "s"]);
         for (name, t) in &snap.tensors {
             let v = mapped.require_view(name).unwrap();
             assert_eq!(v.data().as_ptr() as usize % 8, 0, "unaligned view");
@@ -1416,10 +1396,7 @@ mod tests {
         }
         mapped.verify_payloads().unwrap();
         #[cfg(unix)]
-        {
-            assert!(mapped.is_zero_copy());
-            assert_eq!(mapped.heap_resident_bytes(), 0);
-        }
+        assert!(mapped.is_zero_copy());
         assert!(matches!(mapped.require_view("nope"), Err(SnapshotError::MissingTensor { .. })));
         assert_same(&snap, &mapped.to_owned_snapshot());
         // A payload flip is invisible to open() but caught by the opt-in pass.

@@ -12,10 +12,13 @@
 //! floating-point association order of `HetRec::predict` / `MF::predict`
 //! (`((μ + b_u) + b_i) + Σ_k u_k·i_k`, with the dot product accumulated in
 //! `k` order by the pooled matmul kernel). The fused top-K scan computes
-//! every score in that same order without storing any, so its lists equal
-//! a full selection over `score_batch` bit for bit. That makes a snapshot +
-//! serve round trip a *regression fixture*: any drift between served lists
-//! and in-process evaluation is a bug, not noise. There is one scoring
+//! every score it needs in that same order without storing any, and skips
+//! only item panels whose padded norm bound proves every score in them
+//! below the user's current k-th (never on a tie, never when a payload is
+//! NaN or infinite), so its lists equal a full selection over `score_batch`
+//! bit for bit. That makes a snapshot + serve round trip a *regression
+//! fixture*: any drift between served lists and in-process evaluation is a
+//! bug, not noise. There is one scoring
 //! kernel and no precision knob; the hot-user cache is keyed on the user id.
 //!
 //! ## Determinism contract
@@ -30,9 +33,10 @@
 //! ## Layers
 //!
 //! * [`ServingModel`] — immutable scorer: `score_batch` (the full score
-//!   matrix, a pooled matmul), and `top_k` / `top_k_batch`, which score item
-//!   panels straight into each user's bounded heap on the autograd worker
-//!   pool and never build a score matrix;
+//!   matrix, a pooled matmul; the test oracle), and `top_k` / `top_k_batch`,
+//!   which walk bound-ordered item panels, skip those that cannot reach a
+//!   user's list, and score the rest straight into each user's bounded heap
+//!   on the autograd worker pool, never building a score matrix;
 //! * [`LruCache`] — a bounded, dependency-free LRU used for hot users;
 //! * [`ServeEngine`] — stateful front end: per-user top-K cache, batch
 //!   dedup, telemetry spans/counters and QPS / p50 / p99 latency tracking,

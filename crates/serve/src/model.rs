@@ -1,15 +1,21 @@
 //! The immutable serving model and its batched scoring kernels.
 
 use std::path::Path;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock};
 
 use msopds_autograd::{pool, Tensor};
 use msopds_recsys::snapshot::{MappedSnapshot, ModelKind, Snapshot, SnapshotError, SnapshotSource};
 use msopds_recsys::Backend;
+use msopds_telemetry::Counter;
 
-/// Items per panel of the fused exact top-K scan: one panel of `item_t` is
-/// `d` strips of 64 contiguous f64 (4 KB at d = 8), small enough to stay in
-/// L1 while every user of a lane's chunk scores against it.
+static ITEMS_SCORED: Counter = Counter::new("serve.topk.items_scored");
+static ITEMS_TOTAL: Counter = Counter::new("serve.topk.items_total");
+
+/// Items per panel of the fused exact top-K scan: one panel of
+/// [`ItemPanels`] is `d` strips of 64 f64, contiguous in memory (4 KB at
+/// d = 8), small enough to stay in L1 while every user of a lane's chunk
+/// scores against it.
 const ITEM_PANEL: usize = 64;
 
 /// Items whose dot products one user accumulates together inside a panel:
@@ -133,12 +139,118 @@ pub struct ServingModel {
     b_i: Store,
     /// Final user embeddings, `[n_users, d]`.
     user_f: Store,
-    /// Final item embeddings, `[n_items, d]` (row-major; the scoring kernels
-    /// use the transposed copy below).
+    /// Final item embeddings, `[n_items, d]` (row-major; the top-K scan uses
+    /// the bound-ordered copy below).
     item_f: Store,
-    /// `item_f` transposed once at load time: `[d, n_items]`. Always owned —
-    /// it is a derived layout, not a snapshot payload.
-    item_t: Tensor,
+    /// `item_f` and `b_i` re-laid once at load for the top-K scan. Always
+    /// owned — it is a derived layout, not a snapshot payload.
+    items: ItemPanels,
+}
+
+/// The item side of the top-K scan, built once at load: items sorted by
+/// descending [`norm_bound`] (ties by ascending id) and packed panel-major,
+/// so the items that can score highest come first and every panel carries
+/// the maxima its skip test needs.
+#[derive(Clone)]
+struct ItemPanels {
+    /// Embeddings in slot order, `[panel][d][ITEM_PANEL]`: strip `k` of a
+    /// panel holds component `k` of its 64 items. The last panel is padded
+    /// with zeros.
+    q: Vec<f64>,
+    /// The item id in each slot, `[n_items]`.
+    ids: Vec<u32>,
+    /// `b_i` in slot order, padded with zeros to whole panels.
+    b: Vec<f64>,
+    /// Per panel: the largest `norm_bound` of its items. The order makes this
+    /// the panel's first slot's, and also the suffix maximum over this and
+    /// every later panel.
+    norm: Vec<f64>,
+    /// Per panel: the largest `b_i`, a NaN counting as `+∞`.
+    b_max: Vec<f64>,
+    /// Suffix maxima of `b_max`: the largest `b_i` in this or any later panel.
+    b_suffix: Vec<f64>,
+}
+
+impl ItemPanels {
+    /// Lays out `n_items` rows of `q` (`[n_items, d]`, row-major) and their
+    /// biases `b`. Sorts precomputed `(key, id)` pairs, where the key is the
+    /// complemented bit pattern of the positive, never-NaN `norm_bound`, so
+    /// integer order is descending norm and the id breaks ties.
+    fn build(q: &[f64], b: &[f64], n_items: usize, d: usize) -> Self {
+        let mut order: Vec<(u64, u32)> = (0..n_items)
+            .map(|i| (!norm_bound(&q[i * d..(i + 1) * d]).to_bits(), i as u32))
+            .collect();
+        order.sort_unstable();
+        let panels = n_items.div_ceil(ITEM_PANEL);
+        let mut packed = vec![0.0f64; panels * d * ITEM_PANEL];
+        let mut slot_b = vec![0.0f64; panels * ITEM_PANEL];
+        let mut norm = Vec::with_capacity(panels);
+        let mut b_max = vec![f64::NEG_INFINITY; panels];
+        for (slot, &(key, id)) in order.iter().enumerate() {
+            let (p, j) = (slot / ITEM_PANEL, slot % ITEM_PANEL);
+            if j == 0 {
+                norm.push(f64::from_bits(!key));
+            }
+            let strips = &mut packed[p * d * ITEM_PANEL..][..d * ITEM_PANEL];
+            for (strip, &x) in strips.chunks_exact_mut(ITEM_PANEL).zip(&q[id as usize * d..]) {
+                strip[j] = x;
+            }
+            let bi = b[id as usize];
+            slot_b[slot] = bi;
+            b_max[p] = if bi.is_nan() { f64::INFINITY } else { b_max[p].max(bi) };
+        }
+        let mut b_suffix = b_max.clone();
+        for p in (1..panels).rev() {
+            b_suffix[p - 1] = b_suffix[p - 1].max(b_suffix[p]);
+        }
+        let ids = order.into_iter().map(|(_, id)| id).collect();
+        Self { q: packed, ids, b: slot_b, norm, b_max, b_suffix }
+    }
+
+    fn heap_bytes(&self) -> usize {
+        8 * (self.q.len() + self.b.len() + self.norm.len() + self.b_max.len() + self.b_suffix.len())
+            + 4 * self.ids.len()
+    }
+}
+
+impl std::fmt::Debug for ItemPanels {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(f, "ItemPanels[{} items, {} panels]", self.ids.len(), self.norm.len())
+    }
+}
+
+/// The smallest value [`norm_bound`] returns, `2^-448`: keeps every bound
+/// product `‖u‖·‖q‖` at or above `2^-896`, in the normal range.
+const NORM_FLOOR: f64 = f64::from_bits((1023 - 448) << 52);
+
+/// `1 + (2d + 16)·ε` with `ε = 2^-53`: the relative pad of [`norm_bound`]
+/// and of the dot bound, large enough for both error budgets below.
+fn bound_pad(d: usize) -> f64 {
+    1.0 + (2 * d + 16) as f64 * f64::EPSILON / 2.0
+}
+
+/// An upper bound on the Euclidean norm `‖v‖` of `v`, as a real number:
+/// `max(fl(fl(√S)·pad), 2^-448)`, with `S = fl(Σ v_k²)` summed in `k` order
+/// and `pad = bound_pad(d)`. A NaN component gives `+∞`, never NaN, so an
+/// item with one sorts first and its panel is never skipped.
+///
+/// Why it is an upper bound. Write `ε = 2^-53` and `η = 2^-1075`. Each
+/// square rounds as `v_k²(1+δ) + η_k` (`|δ| ≤ ε`, `|η_k| ≤ η`, the second
+/// only when the result is subnormal), and each addition of non-negative
+/// terms by at most a factor `1 - ε` downward, so
+/// `Σ v_k² ≤ S/(1-ε)^d + d·η`.
+/// * If `S ≥ 2^-898`, then `d·η ≤ S·d·2^-177`, and with `√` and the product
+///   by `pad` each correctly rounded (each loses at most a factor `1 - ε`),
+///   `fl(fl(√S)·pad) ≥ ‖v‖·pad·(1-ε)^(d/2+2)/(1 + d·2^-177) ≥ ‖v‖` whenever
+///   `d·ε ≤ 1/4`, i.e. for every `d` that fits in memory. An overflow gives
+///   `+∞`, which bounds anything.
+/// * If `S < 2^-898`, then `Σ v_k² < 2^-897`, so `‖v‖ < 2^-448`, the floor.
+fn norm_bound(v: &[f64]) -> f64 {
+    let s = v.iter().fold(0.0f64, |s, &x| s + x * x);
+    if s.is_nan() {
+        return f64::INFINITY;
+    }
+    (s.sqrt() * bound_pad(v.len())).max(NORM_FLOOR)
 }
 
 /// The snapshot tensor names a model kind serves from.
@@ -180,7 +292,8 @@ fn check_shapes(
 }
 
 /// `[rows, cols]` row-major data transposed into an owned `[cols, rows]`
-/// tensor — a pure copy, so both storage paths derive bit-identical `item_t`.
+/// tensor — a pure copy, so `score_batch` sees the same operand on both
+/// storage paths.
 fn transposed(data: &[f64], rows: usize, cols: usize) -> Tensor {
     let mut out = vec![0.0f64; rows * cols];
     for r in 0..rows {
@@ -210,7 +323,7 @@ impl ServingModel {
             b_u.numel(),
             b_i.numel(),
         )?;
-        let item_t = transposed(item_f.data(), n_items, item_f.cols());
+        let items = ItemPanels::build(item_f.data(), b_i.data(), n_items, item_f.cols());
         Ok(Self {
             kind: snap.header.kind,
             backend: snap.header.backend,
@@ -222,13 +335,14 @@ impl ServingModel {
             b_i: Store::Owned(b_i),
             user_f: Store::Owned(user_f),
             item_f: Store::Owned(item_f),
-            item_t,
+            items,
         })
     }
 
     /// Builds a serving model over a mapped snapshot without copying any
-    /// payload except the derived `item_t` transpose: embeddings and biases
-    /// are served straight out of the map.
+    /// payload: embeddings and biases are served straight out of the map.
+    /// Only the derived, bound-ordered item layout of the top-K scan is built
+    /// on the heap.
     ///
     /// Payload checksums are *not* verified here (that would read every byte
     /// and defeat the O(header) load); call
@@ -253,7 +367,7 @@ impl ServingModel {
             b_u.rows() * b_u.cols(),
             b_i.rows() * b_i.cols(),
         )?;
-        let item_t = transposed(item_f.data(), n_items, item_f.cols());
+        let items = ItemPanels::build(item_f.data(), b_i.data(), n_items, item_f.cols());
         Ok(Self {
             kind: header.kind,
             backend: header.backend,
@@ -265,7 +379,7 @@ impl ServingModel {
             b_i,
             user_f,
             item_f,
-            item_t,
+            items,
         })
     }
 
@@ -292,15 +406,16 @@ impl ServingModel {
         self.user_f.is_mapped()
     }
 
-    /// Heap bytes held for model parameters (owned payloads plus the derived
-    /// `item_t` transpose). On the mmap path this is just `item_t` — flat in
-    /// user count.
+    /// Heap bytes held for model parameters: owned payloads plus the derived
+    /// item layout of the top-K scan (the item embeddings and biases in bound
+    /// order, one `u32` id per item and three `f64` per 64-item panel). On
+    /// the mmap path this is just the derived layout — flat in user count.
     pub fn heap_param_bytes(&self) -> usize {
         self.b_u.heap_bytes()
             + self.b_i.heap_bytes()
             + self.user_f.heap_bytes()
             + self.item_f.heap_bytes()
-            + self.item_t.numel() * 8
+            + self.items.heap_bytes()
     }
 
     /// User universe size.
@@ -353,19 +468,22 @@ impl ServingModel {
     }
 
     /// Scores every item for a batch of users: returns `[batch, n_items]`.
+    /// It is the oracle the top-K scan is tested against; serving never
+    /// calls it.
     ///
     /// The heavy step is a matmul `U[batch] · Iᵀ` that row-partitions
     /// across the autograd worker pool (bit-deterministic at any lane count);
     /// the bias/μ combine is a linear pass in the same association order as
     /// [`ServingModel::predict`], so every score is bit-identical to the
-    /// in-process model's.
+    /// in-process model's. The `[d, n_items]` operand `Iᵀ` is built per
+    /// call, so the model keeps no second resident copy of the items.
     ///
     /// # Panics
     /// Panics if any user id is out of range.
     pub fn score_batch(&self, users: &[usize]) -> Tensor {
         let m = self.n_items();
         let rows = self.user_f.gather_rows(users);
-        let dots = rows.matmul(&self.item_t);
+        let dots = rows.matmul(&transposed(self.item_f.data(), m, self.dim()));
         let dot_data = dots.data();
         let bi = self.b_i.data();
         let bu = self.b_u.data();
@@ -392,79 +510,161 @@ impl ServingModel {
     ///
     /// Scoring and selection are fused into one scan per lane. Each lane
     /// takes a contiguous share of the batch (disjoint rows, so parallel
-    /// answers are identical to sequential ones) and walks `item_t` in
-    /// [`ITEM_PANEL`]-wide panels; for every user of its share it
-    /// accumulates the panel's dot products [`ITEM_GROUP`] items at a time on
-    /// the stack, adds the biases and offers the scores to that user's
-    /// [`TopK`] heap, so the panel is reused from L1 by the whole share and
-    /// no score matrix is ever built.
+    /// answers are identical to sequential ones) and walks the bound-ordered
+    /// item layout in [`ITEM_PANEL`]-wide panels, largest `‖q‖` first. For
+    /// every user of its share still active it first tests the panel's bound
+    /// against the user's heap floor, then, unless skipped, accumulates the
+    /// panel's dot products [`ITEM_GROUP`] items at a time on the stack, adds
+    /// the biases and offers the scores to that user's [`TopK`] heap. The
+    /// panel is reused from L1 by the whole share and no score matrix is
+    /// ever built.
+    ///
+    /// **Pruning.** For user `u` and panel `P`, with `base = μ + b_u`,
+    /// `bound = (base + max_{i∈P} b_i) + D` in the score's own association
+    /// order, where `D = fl(fl(‖u‖⁺·max_{i∈P} ‖q_i‖⁺)·pad)` and `‖·‖⁺` is
+    /// [`norm_bound`]. If `bound < floor` the user skips the panel; if the
+    /// same bound over the suffix maxima (this and every later panel) is
+    /// below the floor, the user leaves the lane's active list.
+    ///
+    /// Why a skipped item cannot enter. Let `ε = 2^-53`, `η = 2^-1075`.
+    /// Every computed dot satisfies
+    /// `|fl(u·q)| ≤ (1+γ_d)·(Σ_k |u_k q_k| + d·η)`, `γ_d = dε/(1-dε)`
+    /// (recursive summation from `0.0`; skipping `u_k == 0` only drops
+    /// terms; `η` covers products that land subnormal). By Cauchy–Schwarz
+    /// `Σ|u_k q_k| ≤ ‖u‖‖q‖ ≤ ‖u‖⁺‖q‖⁺`, both factors are at least `2^-448`,
+    /// so `d·η ≤ 2^-179·d·‖u‖⁺‖q‖⁺`, and the two roundings in `D` each lose at
+    /// most a factor `1 - ε` on a normal product. With `pad = 1 + (2d+16)ε`,
+    /// `pad·(1-ε)² ≥ (1+γ_d)(1 + d·2^-179)` for `dε ≤ 1/4`, hence
+    /// `D ≥ |fl(u·q)|` for every item of the panel (or `D = +∞` on overflow).
+    /// Round-to-nearest is monotone, so from `b_i ≤ max b` and
+    /// `fl(u·q) ≤ D`: `((base + b_i) + fl(u·q)) ≤ ((base + max b) + D)`,
+    /// i.e. `score ≤ bound < floor`: the `k` items already in the heap all
+    /// rank above the item, so it is not in the list. The suffix bound
+    /// bounds every later panel's bound the same way, so dropping the user
+    /// loses nothing either.
+    /// A NaN or `±∞` anywhere (in `u`, `q`, `b_u`, `b_i`, or an overflowed
+    /// dot) makes `‖u‖⁺`, `‖q‖⁺`, `max b`, `D` or `base` infinite or NaN,
+    /// so `bound` is `+∞` or NaN and `bound < floor` is false: nothing is
+    /// skipped. The test is strict, so an item tied with the floor can still
+    /// enter by its id.
     ///
     /// Bitwise equal to a full selection over [`ServingModel::score_batch`]:
-    /// each dot product starts at `0.0` and accumulates in `k` order,
-    /// skipping `u_k == 0` — the sequence the `ikj` matmul applies to each
-    /// output element — the combine is `((μ + b_u) + b_i) + dot`, and items
-    /// are offered in ascending id order.
+    /// each computed dot product starts at `0.0` and accumulates in `k`
+    /// order, skipping `u_k == 0` — the sequence the `ikj` matmul applies to
+    /// each output element — and the combine is `((μ + b_u) + b_i) + dot`.
+    /// Items are offered out of id order, which selects the same list
+    /// because [`rank`] is a strict total order.
+    ///
+    /// Each call adds the items it scored and `users × n_items` to the
+    /// `serve.topk.items_scored` and `serve.topk.items_total` counters.
     ///
     /// # Panics
     /// Panics if any user id is out of range.
     pub fn top_k_batch(&self, users: &[usize], k: usize) -> Vec<Vec<ScoredItem>> {
+        let (lists, scored) = self.scan(users, k);
+        ITEMS_SCORED.add(scored as u64);
+        ITEMS_TOTAL.add((users.len() * self.n_items()) as u64);
+        lists
+    }
+
+    /// The body of [`ServingModel::top_k_batch`]; also returns how many
+    /// items were scored, summed over users.
+    fn scan(&self, users: &[usize], k: usize) -> (Vec<Vec<ScoredItem>>, usize) {
         for &u in users {
             assert!(u < self.n_users(), "user id {u} out of range");
         }
         let (d, m) = (self.dim(), self.n_items());
         let k = k.min(m);
         if k == 0 {
-            return vec![Vec::new(); users.len()];
+            return (vec![Vec::new(); users.len()], 0);
         }
-        let (uf, bu, bi) = (self.user_f.data(), self.b_u.data(), self.b_i.data());
-        let it = self.item_t.data();
+        let (uf, bu) = (self.user_f.data(), self.b_u.data());
+        let items = &self.items;
+        let pad = bound_pad(d);
+        let scored = AtomicUsize::new(0);
         let slots: Vec<OnceLock<Vec<ScoredItem>>> =
             (0..users.len()).map(|_| OnceLock::new()).collect();
         let chunk = users.len().div_ceil(pool::lanes()).max(1);
         pool::for_each_range(users.len(), chunk, |start, end| {
-            let share = &users[start..end];
-            let mut heaps: Vec<TopK> = share.iter().map(|_| TopK::new(k)).collect();
-            for i0 in (0..m).step_by(ITEM_PANEL) {
-                let i1 = (i0 + ITEM_PANEL).min(m);
-                for (&u, heap) in share.iter().zip(&mut heaps) {
-                    let urow = &uf[u * d..(u + 1) * d];
-                    let base = self.mu + bu[u];
-                    let mut i = i0;
-                    while i + ITEM_GROUP <= i1 {
-                        let dots = item_dots::<ITEM_GROUP>(urow, it, m, i);
-                        let mut scores = [0.0f64; ITEM_GROUP];
-                        for ((s, &b), &dot) in scores.iter_mut().zip(&bi[i..]).zip(&dots) {
-                            *s = base + b + dot;
-                        }
-                        heap.offer_run(i as u32, &scores);
-                        i += ITEM_GROUP;
+            let mut share: Vec<UserScan> = users[start..end]
+                .iter()
+                .map(|&u| {
+                    let row = &uf[u * d..(u + 1) * d];
+                    UserScan {
+                        row,
+                        base: self.mu + bu[u],
+                        norm: norm_bound(row),
+                        heap: TopK::new(k),
                     }
-                    for (i, &b) in (i..i1).zip(&bi[i..i1]) {
-                        let [dot] = item_dots::<1>(urow, it, m, i);
-                        heap.offer(i as u32, base + b + dot);
-                    }
+                })
+                .collect();
+            let mut active: Vec<usize> = (0..share.len()).collect();
+            let mut lane_scored = 0;
+            for (p, &q_norm) in items.norm.iter().enumerate() {
+                if active.is_empty() {
+                    break;
                 }
+                let first = p * ITEM_PANEL;
+                let ids = &items.ids[first..(first + ITEM_PANEL).min(m)];
+                let b = &items.b[first..first + ITEM_PANEL];
+                let panel = &items.q[first * d..(first + ITEM_PANEL) * d];
+                active.retain(|&j| {
+                    let user = &mut share[j];
+                    let dot_bound = user.norm * q_norm * pad;
+                    let floor = user.heap.floor;
+                    if user.base + items.b_suffix[p] + dot_bound < floor {
+                        return false;
+                    }
+                    if user.base + items.b_max[p] + dot_bound < floor {
+                        return true;
+                    }
+                    for g in (0..ids.len()).step_by(ITEM_GROUP) {
+                        let dots = panel_dots(user.row, panel, g);
+                        let mut scores = [0.0f64; ITEM_GROUP];
+                        for ((s, &bi), &dot) in scores.iter_mut().zip(&b[g..]).zip(&dots) {
+                            *s = user.base + bi + dot;
+                        }
+                        user.heap.offer_run(&ids[g..(g + ITEM_GROUP).min(ids.len())], &scores);
+                    }
+                    lane_scored += ids.len();
+                    true
+                });
             }
-            for (r, heap) in (start..end).zip(heaps) {
-                let _ = slots[r].set(heap.finish());
+            scored.fetch_add(lane_scored, Ordering::Relaxed);
+            for (r, user) in (start..end).zip(share) {
+                let _ = slots[r].set(user.heap.finish());
             }
         });
-        slots.into_iter().map(|s| s.into_inner().expect("every row computed")).collect()
+        let lists =
+            slots.into_iter().map(|s| s.into_inner().expect("every row computed")).collect();
+        (lists, scored.into_inner())
     }
 }
 
-/// The dot products of one user row `u` with items `i..i + N`, read from
-/// the `[d, m]` transposed item matrix `it`. Each sum starts at `0.0` and
-/// accumulates in `k` order, skipping `u_k == 0`: per item, the exact
-/// sequence of the `ikj` matmul behind [`ServingModel::score_batch`].
+/// One user's state in a lane of the top-K scan.
+struct UserScan<'a> {
+    /// The user's embedding row.
+    row: &'a [f64],
+    /// `μ + b_u`, the first step of every score.
+    base: f64,
+    /// [`norm_bound`] of `row`.
+    norm: f64,
+    heap: TopK,
+}
+
+/// The dot products of one user row `u` with items `g..g + ITEM_GROUP` of a
+/// `[d][ITEM_PANEL]` panel. Each sum starts at `0.0` and accumulates in `k`
+/// order, skipping `u_k == 0`: per item, the exact sequence of the `ikj`
+/// matmul behind [`ServingModel::score_batch`].
 #[inline(always)]
-fn item_dots<const N: usize>(u: &[f64], it: &[f64], m: usize, i: usize) -> [f64; N] {
-    let mut acc = [0.0f64; N];
-    for (k, &uk) in u.iter().enumerate() {
+fn panel_dots(u: &[f64], panel: &[f64], g: usize) -> [f64; ITEM_GROUP] {
+    let mut acc = [0.0f64; ITEM_GROUP];
+    for (&uk, strip) in u.iter().zip(panel.chunks_exact(ITEM_PANEL)) {
         if uk == 0.0 {
             continue;
         }
-        let strip: &[f64; N] = it[k * m + i..][..N].try_into().expect("N items in range");
+        let strip: &[f64; ITEM_GROUP] =
+            strip[g..g + ITEM_GROUP].try_into().expect("group in panel");
         for (a, &q) in acc.iter_mut().zip(strip) {
             *a += uk * q;
         }
@@ -530,17 +730,18 @@ impl TopK {
         }
     }
 
-    /// Offers `scores[j]` as item `first + j`, in order — the same as one
+    /// Offers `scores[j]` as item `ids[j]`, in order — the same as one
     /// [`TopK::offer`] each, but a run with no score at or above the floor
-    /// is rejected by one branch-free pass.
+    /// is rejected by one branch-free pass. `scores` may run past `ids`
+    /// (the padding slots of the last panel); those extras are never offered.
     #[inline]
-    fn offer_run(&mut self, first: u32, scores: &[f64]) {
+    fn offer_run(&mut self, ids: &[u32], scores: &[f64]) {
         let floor = self.floor;
         if !scores.iter().fold(false, |any, &s| any | (s >= floor || s.is_nan())) {
             return;
         }
-        for (j, &s) in scores.iter().enumerate() {
-            self.offer(first + j as u32, s);
+        for (&id, &s) in ids.iter().zip(scores) {
+            self.offer(id, s);
         }
     }
 
@@ -586,6 +787,21 @@ mod tests {
         mut draw: impl FnMut() -> f64,
     ) -> ServingModel {
         let mut fill = |n: usize| -> Vec<f64> { (0..n).map(|_| draw()).collect() };
+        let (p, q) = (fill(n_users * d), fill(n_items * d));
+        let (b_u, b_i) = (fill(n_users), fill(n_items));
+        model_of(3.2, d, p, q, b_u, b_i)
+    }
+
+    /// An in-memory Mf model with the given `μ` and row-major payloads.
+    fn model_of(
+        mu: f64,
+        d: usize,
+        p: Vec<f64>,
+        q: Vec<f64>,
+        b_u: Vec<f64>,
+        b_i: Vec<f64>,
+    ) -> ServingModel {
+        let (n_users, n_items) = (b_u.len(), b_i.len());
         let snap = Snapshot {
             header: SnapshotHeader {
                 kind: ModelKind::Mf,
@@ -595,14 +811,14 @@ mod tests {
                 item_fingerprint: 0,
                 n_users: n_users as u64,
                 n_items: n_items as u64,
-                mu: 3.2,
+                mu,
             },
             config_json: String::from("{}"),
             tensors: vec![
-                (String::from("p"), Tensor::from_vec(fill(n_users * d), &[n_users, d])),
-                (String::from("q"), Tensor::from_vec(fill(n_items * d), &[n_items, d])),
-                (String::from("b_u"), Tensor::from_vec(fill(n_users), &[n_users, 1])),
-                (String::from("b_i"), Tensor::from_vec(fill(n_items), &[n_items, 1])),
+                (String::from("p"), Tensor::from_vec(p, &[n_users, d])),
+                (String::from("q"), Tensor::from_vec(q, &[n_items, d])),
+                (String::from("b_u"), Tensor::from_vec(b_u, &[n_users, 1])),
+                (String::from("b_i"), Tensor::from_vec(b_i, &[n_items, 1])),
             ],
         };
         ServingModel::from_snapshot(&snap).expect("valid snapshot")
@@ -679,6 +895,190 @@ mod tests {
             }
         }
         pool::configure_threads(0);
+    }
+
+    /// A model whose item norms spread over `e^-4..1` in a shuffled id
+    /// order (random directions), with small item biases: most panels fall
+    /// below a user's floor once the heap fills.
+    fn skewed_model(n_users: usize, n_items: usize, d: usize) -> ServingModel {
+        let mut draw = lcg();
+        let p: Vec<f64> = (0..n_users * d).map(|_| draw()).collect();
+        let mut q: Vec<f64> = (0..n_items * d).map(|_| draw()).collect();
+        for (i, row) in q.chunks_exact_mut(d).enumerate() {
+            let rank = (i * 7919) % n_items;
+            let scale = (-4.0 * rank as f64 / n_items as f64).exp();
+            row.iter_mut().for_each(|x| *x *= scale);
+        }
+        let b_u = (0..n_users).map(|_| draw()).collect();
+        let b_i = (0..n_items).map(|_| 0.1 * draw()).collect();
+        model_of(3.2, d, p, q, b_u, b_i)
+    }
+
+    /// Asserts the scan equals `top_k_row` over `score_batch` bit for bit for
+    /// every user of `users` and returns the scanned-item count.
+    fn assert_matches_oracle(model: &ServingModel, users: &[usize], k: usize) -> usize {
+        let m = model.n_items();
+        let scores = model.score_batch(users);
+        let (got, scored) = model.scan(users, k);
+        assert_eq!(got.len(), users.len());
+        for (r, g) in got.iter().enumerate() {
+            let e = top_k_row(&scores.data()[r * m..(r + 1) * m], k);
+            let bits = |l: &[ScoredItem]| -> Vec<(u32, u64)> {
+                l.iter().map(|x| (x.item, x.score.to_bits())).collect()
+            };
+            assert_eq!(bits(g), bits(&e), "m {m} k {k} row {r} user {}", users[r]);
+        }
+        scored
+    }
+
+    /// Every item scores exactly `μ = 2^52`: each dot is below half an ulp
+    /// of it, so every panel's bound rounds to `2^52` too and equals the
+    /// floor once the heap fills. Lower ids sit in later panels (smaller
+    /// norms), so the answer needs every panel: a `bound <= floor` skip
+    /// would keep ids 192.. instead of 0..10.
+    #[test]
+    fn bound_equal_to_floor_is_not_skipped() {
+        let m = 4 * ITEM_PANEL;
+        let q = (0..m).map(|i| (i + 1) as f64 * 2f64.powi(-30)).collect();
+        let model = model_of(2f64.powi(52), 1, vec![1.0], q, vec![0.0], vec![0.0; m]);
+        let scored = assert_matches_oracle(&model, &[0], 10);
+        assert_eq!(scored, m);
+        let top = model.top_k(0, 10);
+        assert_eq!(top.iter().map(|x| x.item).collect::<Vec<_>>(), (0..10).collect::<Vec<_>>());
+        assert!(top.iter().all(|x| x.score == 2f64.powi(52)));
+    }
+
+    /// The pad in the dot bound is needed: for `u = x = (a, b, 0)` the
+    /// computed `fl(fl(√S)·fl(√S))` is one ulp below the computed dot `S`.
+    /// Panel 0 holds item 1 (`(a, b, 1)`, score exactly `S`, so the floor at
+    /// `k = 1` is `S`) and 63 items scoring `-S`; item 0 (`x`, a smaller
+    /// norm) alone in panel 1 ties at `S` and wins by its id. An unpadded
+    /// bound would drop it.
+    #[test]
+    fn dot_bound_pad_covers_rounding_of_the_norms() {
+        let (a, b) = (0.6864336754504866f64, 0.8098510160219619f64);
+        let s = a * a + b * b;
+        assert!(s.sqrt() * s.sqrt() < s, "the case needs an unpadded bound below S");
+        let mut q = vec![a, b, 0.0, a, b, 1.0];
+        for _ in 0..ITEM_PANEL - 1 {
+            q.extend_from_slice(&[-a, -b, 1.0]);
+        }
+        let m = ITEM_PANEL + 1;
+        let model = model_of(0.0, 3, vec![a, b, 0.0], q, vec![0.0], vec![0.0; m]);
+        assert_eq!(&model.items.ids[..2], &[1, 2]);
+        assert_eq!(model.items.ids[ITEM_PANEL], 0);
+        assert_matches_oracle(&model, &[0], 1);
+        assert_eq!(model.top_k(0, 1), vec![ScoredItem { item: 0, score: s }]);
+    }
+
+    /// Items with identical computed norms keep ascending id order across
+    /// panel boundaries, behind the larger-norm items they follow.
+    #[test]
+    fn equal_norms_across_a_panel_boundary_keep_id_order() {
+        let m = 2 * ITEM_PANEL + 2;
+        let (a, b) = (0.375, 0.5);
+        let mut q = Vec::with_capacity(2 * m);
+        for i in 0..m {
+            // Sign flips keep the squares and their summation order, so the
+            // computed norms are bitwise equal; ids 100.. get twice the norm.
+            let s = if i >= 100 { 2.0 } else { 1.0 };
+            let (x, y) = if i % 2 == 0 { (a, b) } else { (-a, b) };
+            q.extend_from_slice(&[s * x, if i % 3 == 0 { -s * y } else { s * y }]);
+        }
+        let mut draw = lcg();
+        let p: Vec<f64> = (0..6 * 2).map(|_| draw()).collect();
+        let model = model_of(3.2, 2, p, q, vec![0.0; 6], vec![0.0; m]);
+        let expect: Vec<u32> = (100..m as u32).chain(0..100).collect();
+        assert_eq!(model.items.ids, expect);
+        for k in [1, 5, ITEM_PANEL, ITEM_PANEL + 1, m] {
+            assert_matches_oracle(&model, &[0, 1, 2, 3, 4, 5], k);
+        }
+    }
+
+    /// NaN and ±∞ in `q`, `b_i` and `u` make the bound infinite or NaN, so
+    /// no panel holding them is skipped and no user is dropped before them;
+    /// the lists still equal the oracle's bit for bit (NaN payloads
+    /// included). The bad `b_i` sit on small-norm items, in panels a
+    /// finite user would otherwise skip.
+    #[test]
+    fn non_finite_payloads_are_never_skipped() {
+        let (m, d, n_users) = (5 * ITEM_PANEL + 7, 4, 8);
+        let base = skewed_model(n_users, m, d);
+        let low = |rank: usize| (0..m).find(|&i| (i * 7919) % m == rank).expect("a rank");
+        let (p0, q0) = (base.user_f.data().to_vec(), base.item_f.data().to_vec());
+        let (bu0, bi0) = (base.b_u.data().to_vec(), base.b_i.data().to_vec());
+        let mut cases: Vec<(Vec<f64>, Vec<f64>, Vec<f64>)> = Vec::new();
+        for x in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            let mut q = q0.clone();
+            q[low(m - 3) * d + 1] = x;
+            cases.push((p0.clone(), q, bi0.clone()));
+            let mut b = bi0.clone();
+            b[low(m - 1)] = x;
+            cases.push((p0.clone(), q0.clone(), b));
+            let mut p = p0.clone();
+            p[2 * d + 3] = x;
+            p[3 * d..4 * d].fill(0.0);
+            cases.push((p, q0.clone(), bi0.clone()));
+        }
+        let users: Vec<usize> = (0..n_users).collect();
+        for (p, q, b_i) in cases {
+            let model = model_of(3.2, d, p, q, bu0.clone(), b_i);
+            for k in [1, 3, 10] {
+                assert_matches_oracle(&model, &users, k);
+            }
+        }
+    }
+
+    /// With `k ≥ n_items` the heap never fills before the last item, so
+    /// nothing is skipped and every item is listed.
+    #[test]
+    fn k_at_or_past_n_items_scores_everything() {
+        let (m, n_users) = (2 * ITEM_PANEL + 9, 5);
+        let model = skewed_model(n_users, m, 3);
+        let users: Vec<usize> = (0..n_users).collect();
+        for k in [m, m + 10] {
+            assert_eq!(assert_matches_oracle(&model, &users, k), n_users * m);
+        }
+    }
+
+    /// The pruned scan equals the oracle on the `fastpath` bench's item
+    /// counts (multiples of 512), at 1 and 2 lanes.
+    #[test]
+    fn pruned_scan_matches_oracle_at_512_and_4096_items() {
+        for m in [512, 4096] {
+            let model = skewed_model(24, m, 8);
+            let users: Vec<usize> = (0..24).chain([3, 3, 7]).collect();
+            for lanes in [1, 2] {
+                pool::configure_threads(lanes);
+                for k in [1, 10] {
+                    let scored = assert_matches_oracle(&model, &users, k);
+                    assert!(scored < users.len() * m, "m {m} k {k}: nothing skipped");
+                }
+            }
+        }
+        pool::configure_threads(0);
+    }
+
+    /// The scored-item count: under half of `batch × n_items` on a skewed
+    /// model, and exactly all of it when every item has the same norm and
+    /// bias (each bound then bounds every score, so never drops below a
+    /// floor, which is itself a score).
+    #[test]
+    fn scored_count_tracks_the_norm_spread() {
+        let (m, d, batch) = (4096, 8, 32);
+        let users: Vec<usize> = (0..batch).collect();
+        let skewed = skewed_model(batch, m, d);
+        let (_, scored) = skewed.scan(&users, 10);
+        assert!(2 * scored < batch * m, "skewed model scored {scored} of {}", batch * m);
+
+        let mut draw = lcg();
+        let v: Vec<f64> = (0..d).map(|_| draw()).collect();
+        let q: Vec<f64> =
+            (0..m * d).map(|j| if draw() < 0.0 { -v[j % d] } else { v[j % d] }).collect();
+        let p: Vec<f64> = (0..batch * d).map(|_| draw()).collect();
+        let flat = model_of(3.2, d, p, q, vec![0.1; batch], vec![-0.2; m]);
+        let (_, scored) = flat.scan(&users, 10);
+        assert_eq!(scored, batch * m);
     }
 
     #[test]

@@ -88,12 +88,6 @@ impl SharedServeEngine {
     pub fn summary(&self) -> ServeSummary {
         self.lock().summary()
     }
-
-    /// Runs `f` with exclusive access to the engine — for maintenance that
-    /// composes several engine calls into one critical section.
-    pub fn with_engine<R>(&self, f: impl FnOnce(&mut ServeEngine) -> R) -> R {
-        f(&mut self.lock())
-    }
 }
 
 impl std::fmt::Debug for SharedServeEngine {

@@ -8,12 +8,15 @@
 //!    descending, item id ascending), truncated to `k`;
 //! 2. **tie discipline** — with payloads quantized so duplicate scores are
 //!    common, ties always resolve by ascending item id;
-//! 3. **NaN-free** — served scores never contain NaNs for finite models.
+//! 3. **NaN-free** — served scores never contain NaNs for finite models;
+//! 4. **pruning** — all of the above also holds on skewed-norm models, where
+//!    the scan skips item panels that cannot reach a user's heap floor.
 
 use msopds_autograd::Tensor;
 use msopds_recsys::snapshot::{ModelKind, Snapshot, SnapshotHeader};
 use msopds_recsys::Backend;
 use msopds_serve::{ScoredItem, ServingModel};
+use msopds_telemetry as telemetry;
 use proptest::prelude::*;
 
 /// Splitmix64 — expands one strategy-drawn seed into tensor payloads (the
@@ -33,46 +36,53 @@ fn quantized(state: &mut u64, n: usize) -> Vec<f64> {
     (0..n).map(|_| (splitmix(state) % 17) as f64 * 0.25 - 2.0).collect()
 }
 
-/// An arbitrary-but-valid MF snapshot with tie-prone payloads. `n_items`
-/// runs past three 64-item panels of the fused exact scan, so cases land
-/// below, on and across panel boundaries, tail included.
-fn arb_model() -> impl Strategy<Value = ServingModel> {
-    (1usize..14, 1usize..200, 1usize..5, 0u64..u64::MAX).prop_map(
-        |(n_users, n_items, dim, seed)| {
-            let mut state = seed;
-            let snap = Snapshot {
-                header: SnapshotHeader {
-                    kind: ModelKind::Mf,
-                    backend: Backend::Dense,
-                    seed,
-                    social_fingerprint: 0,
-                    item_fingerprint: 0,
-                    n_users: n_users as u64,
-                    n_items: n_items as u64,
-                    mu: quantized(&mut state, 1)[0],
-                },
-                config_json: String::from("{}"),
-                tensors: vec![
-                    (
-                        String::from("p"),
-                        Tensor::from_vec(quantized(&mut state, n_users * dim), &[n_users, dim]),
-                    ),
-                    (
-                        String::from("q"),
-                        Tensor::from_vec(quantized(&mut state, n_items * dim), &[n_items, dim]),
-                    ),
-                    (
-                        String::from("b_u"),
-                        Tensor::from_vec(quantized(&mut state, n_users), &[n_users, 1]),
-                    ),
-                    (
-                        String::from("b_i"),
-                        Tensor::from_vec(quantized(&mut state, n_items), &[n_items, 1]),
-                    ),
-                ],
-            };
-            ServingModel::from_snapshot(&snap).expect("valid snapshot")
+/// A valid MF model with tie-prone payloads drawn from `seed`. With `skew`,
+/// each item row (embedding and bias) is scaled by `2^-s`, `s` drawn in
+/// `0..8`: item norms then spread over `2^7`, so the fused scan's bound
+/// test skips panels and drops users. Power-of-two scales keep the payloads
+/// on a grid, so ties stay common.
+fn model_from(n_users: usize, n_items: usize, dim: usize, seed: u64, skew: bool) -> ServingModel {
+    let mut state = seed;
+    let mu = quantized(&mut state, 1)[0];
+    let p = quantized(&mut state, n_users * dim);
+    let mut q = quantized(&mut state, n_items * dim);
+    let b_u = quantized(&mut state, n_users);
+    let mut b_i = quantized(&mut state, n_items);
+    if skew {
+        for (row, b) in q.chunks_exact_mut(dim).zip(&mut b_i) {
+            let scale = 0.5f64.powi((splitmix(&mut state) % 8) as i32);
+            row.iter_mut().for_each(|x| *x *= scale);
+            *b *= scale;
+        }
+    }
+    let snap = Snapshot {
+        header: SnapshotHeader {
+            kind: ModelKind::Mf,
+            backend: Backend::Dense,
+            seed,
+            social_fingerprint: 0,
+            item_fingerprint: 0,
+            n_users: n_users as u64,
+            n_items: n_items as u64,
+            mu,
         },
+        config_json: String::from("{}"),
+        tensors: vec![
+            (String::from("p"), Tensor::from_vec(p, &[n_users, dim])),
+            (String::from("q"), Tensor::from_vec(q, &[n_items, dim])),
+            (String::from("b_u"), Tensor::from_vec(b_u, &[n_users, 1])),
+            (String::from("b_i"), Tensor::from_vec(b_i, &[n_items, 1])),
+        ],
+    };
+    ServingModel::from_snapshot(&snap).expect("valid snapshot")
+}
+
+/// An arbitrary-but-valid MF model. `n_items` runs past three 64-item
+/// panels of the fused exact scan, so cases land below, on and across panel
+/// boundaries, tail included.
+fn arb_model(skew: bool) -> impl Strategy<Value = ServingModel> {
+    (1usize..14, 1usize..200, 1usize..5, 0u64..u64::MAX).prop_map(
+        move |(n_users, n_items, dim, seed)| model_from(n_users, n_items, dim, seed, skew),
     )
 }
 
@@ -113,11 +123,37 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
     #[test]
-    fn top_k_matches_full_sort_reference(model in arb_model(), k_raw in 0usize..32) {
+    fn top_k_matches_full_sort_reference(model in arb_model(false), k_raw in 0usize..32) {
         // k sweeps through 0, interior values, exactly n_items, and beyond.
         check_top_k(&model, k_raw)?;
         check_top_k(&model, 0)?;
         check_top_k(&model, model.n_items())?;
         check_top_k(&model, model.n_items() + 3)?;
     }
+
+    #[test]
+    fn skewed_top_k_matches_full_sort_reference(model in arb_model(true), k_raw in 0usize..32) {
+        check_top_k(&model, k_raw)?;
+        check_top_k(&model, model.n_items())?;
+    }
+}
+
+/// The skewed generator does exercise pruning: over a fixed set of its
+/// models, the scan scores fewer items than `users × n_items`, read from the
+/// `serve.topk.*` counters. (Other tests of this binary may add to both
+/// counters meanwhile; a call never scores more than its total, so they
+/// cannot make a run without skips pass.)
+#[test]
+fn skewed_models_take_the_skip_path() {
+    let read = |name: &str| telemetry::report().counter(name).map_or(0, |c| c.value);
+    telemetry::set_enabled(true);
+    let (scored0, total0) = (read("serve.topk.items_scored"), read("serve.topk.items_total"));
+    for seed in 0..32u64 {
+        let model = model_from(8, 199, 1 + (seed % 4) as usize, seed, true);
+        check_top_k(&model, 3).expect("matches the reference");
+    }
+    let scored = read("serve.topk.items_scored") - scored0;
+    let total = read("serve.topk.items_total") - total0;
+    eprintln!("skewed models: scored {scored} of {total} items");
+    assert!(scored < total, "no panel was skipped: {scored} of {total}");
 }
