@@ -19,6 +19,7 @@ use msopds_autograd::hvp::grad_dot_products;
 use msopds_autograd::{Tape, Tensor};
 use msopds_recdata::{Dataset, PoisonAction};
 use msopds_recsys::pds::{build_pds, PdsConfig, PlayerInput};
+use msopds_recsys::Backend;
 use rand::Rng;
 
 use crate::common::{filler_actions, fit_rating_stats, inject_fakes, IaContext};
@@ -57,7 +58,8 @@ pub struct InfluenceDiag {
 }
 
 /// Scores each pool item by its Newton-refined influence on the IA loss for
-/// `target_item`, as rated 5-star by the (already injected) `probe` fake.
+/// `target_item`, as rated 5-star by the (already injected) `probe` fake,
+/// through a surrogate on the graph `backend`.
 ///
 /// Returns one score per pool entry — more negative = stronger promotion —
 /// plus the solve diagnostics. On an unusable solve the raw gradient is
@@ -69,6 +71,7 @@ pub fn influence_scores(
     pool: &[usize],
     target_item: usize,
     cfg: &InfluenceConfig,
+    backend: Backend,
     seed: u64,
 ) -> (Vec<f64>, InfluenceDiag) {
     let candidates: Vec<PoisonAction> = pool
@@ -81,7 +84,7 @@ pub fn influence_scores(
         &tape,
         data,
         &[PlayerInput { candidates: &candidates, xhat: Tensor::zeros(&[candidates.len()]) }],
-        &PdsConfig { inner_steps: cfg.inner_steps, seed, ..Default::default() },
+        &PdsConfig { inner_steps: cfg.inner_steps, seed, backend, ..Default::default() },
     );
     let xhat = pds.xhats[0];
     let real_users: Vec<usize> = (0..data.n_real_users).collect();
@@ -127,12 +130,14 @@ pub fn influence_scores(
 /// Unlike [`crate::s_attack::s_attack`] (one shared filler set), the budget
 /// is filled greedily: the influence-ranked pool is walked in order and each
 /// fake takes the next `fillers_per_fake` strongest remaining candidates,
-/// wrapping around once the ranking is exhausted.
+/// wrapping around once the ranking is exhausted. The surrogate runs on
+/// `backend`, the graph backend of the game's planner.
 pub fn influence_attack<R: Rng>(
     data: &mut Dataset,
     ctx: &IaContext,
     target_item: usize,
     cfg: &InfluenceConfig,
+    backend: Backend,
     rng: &mut R,
 ) -> Vec<PoisonAction> {
     let stats = fit_rating_stats(data);
@@ -150,7 +155,7 @@ pub fn influence_attack<R: Rng>(
         return plan;
     }
 
-    let (scores, _diag) = influence_scores(data, probe, &pool, target_item, cfg, ctx.seed);
+    let (scores, _diag) = influence_scores(data, probe, &pool, target_item, cfg, backend, ctx.seed);
 
     // Rank ascending: most negative influence first (strongest promotion).
     // Item id breaks exact ties so the ordering is fully deterministic.
@@ -177,14 +182,27 @@ pub fn influence_attack<R: Rng>(
 mod tests {
     use super::*;
     use msopds_recdata::DatasetSpec;
+    use rand::rngs::StdRng;
     use rand::SeedableRng;
+
+    /// The attack with default hyperparameters on the default backend.
+    fn attack(data: &mut Dataset, ctx: &IaContext, target: usize, seed: u64) -> Vec<PoisonAction> {
+        let mut rng = StdRng::seed_from_u64(seed);
+        influence_attack(
+            data,
+            ctx,
+            target,
+            &InfluenceConfig::default(),
+            Backend::default(),
+            &mut rng,
+        )
+    }
 
     #[test]
     fn influence_attack_fills_the_budget() {
         let mut data = DatasetSpec::micro().generate(1);
         let ctx = IaContext { b: 3, fillers_per_fake: 4, candidate_pool: 12, seed: 0 };
-        let mut rng = rand::rngs::StdRng::seed_from_u64(7);
-        let plan = influence_attack(&mut data, &ctx, 0, &InfluenceConfig::default(), &mut rng);
+        let plan = attack(&mut data, &ctx, 0, 7);
         let n_fake = ctx.fake_count(60);
         assert_eq!(plan.len(), n_fake + n_fake * ctx.fillers_per_fake);
         for a in &plan {
@@ -198,9 +216,8 @@ mod tests {
     fn influence_attack_never_uses_target_as_filler() {
         let mut data = DatasetSpec::micro().generate(2);
         let ctx = IaContext { b: 2, fillers_per_fake: 3, candidate_pool: 10, seed: 0 };
-        let mut rng = rand::rngs::StdRng::seed_from_u64(9);
         let target = 5;
-        let plan = influence_attack(&mut data, &ctx, target, &InfluenceConfig::default(), &mut rng);
+        let plan = attack(&mut data, &ctx, target, 9);
         let target_ratings = plan
             .iter()
             .filter(|a| matches!(a, PoisonAction::Rating { item, .. } if *item as usize == target))
@@ -213,8 +230,7 @@ mod tests {
         let run = || {
             let mut data = DatasetSpec::micro().generate(3);
             let ctx = IaContext { b: 2, fillers_per_fake: 3, candidate_pool: 10, seed: 4 };
-            let mut rng = rand::rngs::StdRng::seed_from_u64(11);
-            influence_attack(&mut data, &ctx, 2, &InfluenceConfig::default(), &mut rng)
+            attack(&mut data, &ctx, 2, 11)
         };
         assert_eq!(run(), run());
     }
@@ -225,8 +241,15 @@ mod tests {
         let ctx = IaContext { b: 2, fillers_per_fake: 3, candidate_pool: 8, seed: 0 };
         let (fakes, _) = inject_fakes(&mut data, &ctx, 0);
         let pool: Vec<usize> = (1..9).collect();
-        let (scores, diag) =
-            influence_scores(&data, fakes[0], &pool, 0, &InfluenceConfig::default(), 0);
+        let (scores, diag) = influence_scores(
+            &data,
+            fakes[0],
+            &pool,
+            0,
+            &InfluenceConfig::default(),
+            Backend::default(),
+            0,
+        );
         assert_eq!(scores.len(), pool.len());
         assert!(!diag.degraded, "micro-world solve unexpectedly degraded: {:?}", diag);
         assert!(scores.iter().all(|s| s.is_finite()));

@@ -72,6 +72,7 @@ impl Baseline {
 
     /// Plans this baseline's Injection Attack on `data` (fake users are
     /// injected into `data` as a side effect) and returns the poison plan.
+    /// Every surrogate a baseline trains runs on `planner.pds.backend`.
     pub fn plan<R: Rng>(
         &self,
         data: &mut Dataset,
@@ -85,12 +86,17 @@ impl Baseline {
             Baseline::Random => random_attack(data, ctx, target_item, rng),
             Baseline::Popular => popular_attack(data, ctx, target_item, rng),
             Baseline::Pga => pga_attack(data, ctx, target_item, &PgaConfig::default(), rng),
-            Baseline::SAttack => s_attack(data, ctx, target_item, rng),
+            Baseline::SAttack => s_attack(data, ctx, target_item, planner.pds.backend, rng),
             Baseline::RevAdv => rev_adv_attack(data, ctx, target_item, planner, rng),
             Baseline::Trial => trial_attack(data, ctx, target_item, &TrialConfig::default(), rng),
-            Baseline::Influence => {
-                influence_attack(data, ctx, target_item, &InfluenceConfig::default(), rng)
-            }
+            Baseline::Influence => influence_attack(
+                data,
+                ctx,
+                target_item,
+                &InfluenceConfig::default(),
+                planner.pds.backend,
+                rng,
+            ),
             Baseline::DlAttack => {
                 // Map the shared IA budget onto the original's absolute
                 // `maliciousUserSize`/`maliciousFeedbackSize` semantics so

@@ -13,16 +13,19 @@
 use msopds_autograd::Tape;
 use msopds_recdata::{Dataset, PoisonAction};
 use msopds_recsys::pds::{build_pds, PdsConfig, PlayerInput};
+use msopds_recsys::Backend;
 use rand::Rng;
 
 use crate::common::{filler_actions, fit_rating_stats, inject_fakes, IaContext};
 
 /// Runs the S-attack: scores candidates by influence, selects the top set
-/// (shared across fakes), and returns the full plan.
+/// (shared across fakes), and returns the full plan. The surrogate runs on
+/// `backend`, the graph backend of the game's planner.
 pub fn s_attack<R: Rng>(
     data: &mut Dataset,
     ctx: &IaContext,
     target_item: usize,
+    backend: Backend,
     rng: &mut R,
 ) -> Vec<PoisonAction> {
     let stats = fit_rating_stats(data);
@@ -52,7 +55,7 @@ pub fn s_attack<R: Rng>(
             candidates: &candidates,
             xhat: msopds_autograd::Tensor::zeros(&[candidates.len()]),
         }],
-        &PdsConfig { inner_steps: 2, seed: ctx.seed, ..Default::default() },
+        &PdsConfig { inner_steps: 2, seed: ctx.seed, backend, ..Default::default() },
     );
     let real_users: Vec<usize> = (0..data.n_real_users).collect();
     let ia = msopds_recsys::losses::ia_loss(&pds.scores(), &real_users, target_item);
@@ -80,7 +83,7 @@ mod tests {
         let mut data = DatasetSpec::micro().generate(1);
         let ctx = IaContext::scaled(4, 8.0);
         let mut rng = rand::rngs::StdRng::seed_from_u64(5);
-        let plan = s_attack(&mut data, &ctx, 0, &mut rng);
+        let plan = s_attack(&mut data, &ctx, 0, Backend::default(), &mut rng);
         let n_fake = ctx.fake_count(60);
         assert_eq!(plan.len(), n_fake + n_fake * ctx.fillers_per_fake);
 
@@ -104,7 +107,7 @@ mod tests {
         let ctx = IaContext::scaled(3, 8.0);
         let mut rng = rand::rngs::StdRng::seed_from_u64(6);
         let target = 7;
-        let plan = s_attack(&mut data, &ctx, target, &mut rng);
+        let plan = s_attack(&mut data, &ctx, target, Backend::default(), &mut rng);
         let target_ratings = plan
             .iter()
             .filter(|a| matches!(a, PoisonAction::Rating { item, .. } if *item as usize == target))

@@ -16,6 +16,7 @@ use msopds_autograd::{Tape, Tensor};
 use msopds_recdata::{Dataset, DatasetSpec, PoisonAction};
 use msopds_recsys::losses::ia_loss;
 use msopds_recsys::pds::{build_pds, PdsConfig, PlayerInput};
+use msopds_recsys::Backend;
 
 const INNER_STEPS: usize = 2;
 
@@ -136,7 +137,7 @@ fn cg_newton_direction_matches_dense_solve_to_1e6() {
         cg_tol: 1e-12,
         ..Default::default()
     };
-    let (scores, diag) = influence_scores(&data, probe, &pool, target, &cfg, 0);
+    let (scores, diag) = influence_scores(&data, probe, &pool, target, &cfg, Backend::default(), 0);
     assert!(!diag.degraded, "tiny-world solve degraded: {diag:?}");
 
     let (g, h) = grad_and_hessian(&data, probe, &pool, target);
@@ -159,7 +160,7 @@ fn influence_ranking_matches_leave_one_out_retraining() {
     // gradient, which is exactly what per-rating retraining measures.
     let cfg =
         InfluenceConfig { inner_steps: INNER_STEPS, cg_iters: 50, cg_tol: 1e-12, damping: 1e6 };
-    let (scores, diag) = influence_scores(&data, probe, &pool, target, &cfg, 0);
+    let (scores, diag) = influence_scores(&data, probe, &pool, target, &cfg, Backend::default(), 0);
     assert!(!diag.degraded);
 
     // Brute force: retrain the surrogate with each candidate rating's X̂

@@ -12,6 +12,7 @@ use msopds_attacks::{influence_attack, influence_scores, InfluenceConfig};
 use msopds_autograd::cg::SolveStatus;
 use msopds_faultline as faultline;
 use msopds_recdata::{DatasetSpec, PoisonAction};
+use msopds_recsys::Backend;
 use rand::SeedableRng;
 
 /// Fault plans are process-global; drills must not overlap.
@@ -33,7 +34,15 @@ fn nan_rhs_degrades_scores_to_raw_gradient() {
     let pool: Vec<usize> = vec![1, 2, 3, 5, 8, 13];
 
     let (scores, diag) = with_plan("seed=1;cg.solve.rhs=nan@1.0", || {
-        influence_scores(&data, fakes[0], &pool, 0, &InfluenceConfig::default(), 0)
+        influence_scores(
+            &data,
+            fakes[0],
+            &pool,
+            0,
+            &InfluenceConfig::default(),
+            Backend::default(),
+            0,
+        )
     });
     assert!(diag.degraded, "NaN right-hand side must degrade the solve");
     assert_eq!(diag.status, SolveStatus::NonFiniteRhs);
@@ -42,7 +51,15 @@ fn nan_rhs_degrades_scores_to_raw_gradient() {
     assert!(scores.iter().all(|s| s.is_finite()));
 
     // Clean control run on the same inputs is not degraded.
-    let (_, clean) = influence_scores(&data, fakes[0], &pool, 0, &InfluenceConfig::default(), 0);
+    let (_, clean) = influence_scores(
+        &data,
+        fakes[0],
+        &pool,
+        0,
+        &InfluenceConfig::default(),
+        Backend::default(),
+        0,
+    );
     assert!(!clean.degraded);
 }
 
@@ -52,7 +69,14 @@ fn degraded_solve_still_fills_the_attack_budget() {
         let mut data = DatasetSpec::micro().generate(3);
         let ctx = IaContext { b: 3, fillers_per_fake: 4, candidate_pool: 12, seed: 1 };
         let mut rng = rand::rngs::StdRng::seed_from_u64(5);
-        influence_attack(&mut data, &ctx, 0, &InfluenceConfig::default(), &mut rng)
+        influence_attack(
+            &mut data,
+            &ctx,
+            0,
+            &InfluenceConfig::default(),
+            Backend::default(),
+            &mut rng,
+        )
     });
     // The attack survives the breakdown and still emits a full-budget,
     // well-formed plan.
@@ -76,7 +100,14 @@ fn intermittent_faults_never_panic_the_attack() {
             let mut data = DatasetSpec::micro().generate(seed);
             let ctx = IaContext { b: 2, fillers_per_fake: 3, candidate_pool: 8, seed };
             let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
-            let plan = influence_attack(&mut data, &ctx, 1, &InfluenceConfig::default(), &mut rng);
+            let plan = influence_attack(
+                &mut data,
+                &ctx,
+                1,
+                &InfluenceConfig::default(),
+                Backend::default(),
+                &mut rng,
+            );
             assert!(!plan.is_empty());
         }
     });

@@ -37,7 +37,6 @@
 
 pub mod backward;
 pub mod cg;
-pub mod functional;
 pub mod hvp;
 pub mod ndiff;
 pub mod optim;

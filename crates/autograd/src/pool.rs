@@ -19,10 +19,10 @@
 //!    them instead of hitting the allocator.
 //!
 //! Callers above this crate set the pool size through their configs
-//! (`GameConfig::kernel_threads`, `XpConfig::threads`, the `repro` binary's
-//! `--threads` flag / `MSOPDS_THREADS`); cell-level parallelism in the
-//! experiment harness and kernel-level lanes share one budget so the process
-//! never oversubscribes.
+//! (`GameConfig::kernel_threads`, `XpConfig::threads`, the `--threads` flag
+//! of `repro` and `serve`); cell-level parallelism in the experiment harness
+//! and kernel-level lanes share one budget so the process never
+//! oversubscribes.
 //!
 //! [`Tape::reset`]: crate::Tape::reset
 
@@ -86,12 +86,14 @@ fn pool() -> &'static Mutex<PoolState> {
     POOL.get_or_init(|| Mutex::new(PoolState { tx: None, workers: 0, configured: false }))
 }
 
-fn default_threads() -> usize {
+/// The machine's parallelism, or 1 when it cannot be read: the thread
+/// budget every config takes by default.
+pub fn available_parallelism() -> usize {
     std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1)
 }
 
 fn configure_locked(st: &mut PoolState, threads: usize) {
-    let threads = if threads == 0 { default_threads() } else { threads };
+    let threads = if threads == 0 { available_parallelism() } else { threads };
     let workers = threads - 1;
     if st.configured && st.workers == workers {
         return;

@@ -175,13 +175,6 @@ pub struct TapeStats {
     pub elements: usize,
 }
 
-impl TapeStats {
-    /// Approximate resident bytes of the stored values.
-    pub fn approx_bytes(&self) -> usize {
-        self.elements * std::mem::size_of::<f64>()
-    }
-}
-
 /// A reverse-mode autodiff tape.
 ///
 /// Create leaves with [`Tape::leaf`] / [`Tape::constant`], build computations
@@ -388,7 +381,6 @@ mod tests {
         assert_eq!(stats.leaves, 2);
         assert_eq!(stats.matmuls, 1);
         assert_eq!(stats.elements, 4 + 4 + 4 + 1);
-        assert_eq!(stats.approx_bytes(), 13 * 8);
     }
 
     #[test]

@@ -112,17 +112,6 @@ impl ImportanceVector {
             .filter_map(|(&a, &x)| (x > 0.5).then_some(a))
             .collect()
     }
-
-    /// Applies a gradient-descent update `X ← X − η·g`.
-    ///
-    /// # Panics
-    /// Panics if the gradient length disagrees.
-    pub fn apply_update(&mut self, grad: &Tensor, eta: f64) {
-        assert_eq!(grad.numel(), self.values.len(), "gradient length mismatch");
-        for (v, g) in self.values.iter_mut().zip(grad.data()) {
-            *v -= eta * g;
-        }
-    }
 }
 
 #[cfg(test)]
@@ -167,14 +156,6 @@ mod tests {
         let plan = iv.extract_plan();
         assert_eq!(plan, vec![rating(1)]);
         assert_eq!(iv.total_budget(), 1);
-    }
-
-    #[test]
-    fn update_moves_against_gradient() {
-        let mut iv = vector_with(vec![0.0, 0.0], vec![BudgetGroup::new("g", vec![0, 1], 1)]);
-        iv.apply_update(&Tensor::from_vec(vec![1.0, -1.0], &[2]), 0.1);
-        assert_eq!(iv.values, vec![-0.1, 0.1]);
-        assert_eq!(iv.extract_plan(), vec![rating(1)]);
     }
 
     #[test]

@@ -31,6 +31,9 @@
 //!   accepts and forced mid-frame disconnects).
 //!
 //! Rates are probabilities in `[0, 1]`; `site=panic` alone means rate 1.
+//! This crate reads no environment: the `repro` and `serve` binaries parse
+//! `MSOPDS_FAULT_PLAN` with [`FaultPlan::parse`] (a malformed plan exits 2)
+//! and arm it through [`set_plan`].
 //!
 //! ## Determinism
 //!
@@ -249,24 +252,6 @@ pub fn set_plan(plan: Option<FaultPlan>) {
     armed::install(plan);
     #[cfg(not(feature = "fault-injection"))]
     let _ = plan;
-}
-
-/// Arms the plan in `MSOPDS_FAULT_PLAN`, if set.
-///
-/// # Panics
-/// Panics on a malformed plan — a fault harness that silently injects
-/// nothing would make CI green for the wrong reason.
-pub fn arm_from_env() {
-    #[cfg(feature = "fault-injection")]
-    {
-        match std::env::var("MSOPDS_FAULT_PLAN") {
-            Ok(s) if !s.trim().is_empty() => {
-                let plan = FaultPlan::parse(&s).unwrap_or_else(|e| panic!("{e}"));
-                armed::install(Some(plan));
-            }
-            _ => {}
-        }
-    }
 }
 
 /// True when a non-empty plan is armed. Constant `false` without the feature.

@@ -214,11 +214,6 @@ impl CsrBuilder {
         }
     }
 
-    /// Undirected edges buffered so far (before dedup).
-    pub fn buffered_edges(&self) -> usize {
-        self.half.len() / 2
-    }
-
     /// Counting-sorts the buffered half-edges into a canonical [`CsrGraph`].
     pub fn finish(self) -> CsrGraph {
         let n = self.n;

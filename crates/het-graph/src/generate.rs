@@ -80,19 +80,6 @@ pub fn watts_strogatz<R: Rng>(n: usize, k: usize, beta: f64, rng: &mut R) -> Csr
     CsrGraph::from_edges(n, &edges)
 }
 
-/// Erdős–Rényi `G(n, p)` random graph.
-pub fn erdos_renyi<R: Rng>(n: usize, p: f64, rng: &mut R) -> CsrGraph {
-    let mut edges = Vec::new();
-    for a in 0..n {
-        for b in (a + 1)..n {
-            if rng.gen_bool(p) {
-                edges.push((a, b));
-            }
-        }
-    }
-    CsrGraph::from_edges(n, &edges)
-}
-
 /// Draws a Barabási–Albert graph whose expected edge count approximates
 /// `target_edges`, by choosing the attachment parameter `m ≈ E/n`.
 pub fn social_network_like<R: Rng>(n: usize, target_edges: usize, rng: &mut R) -> CsrGraph {
@@ -254,14 +241,6 @@ mod tests {
         let g0 = watts_strogatz(50, 3, 0.0, &mut rng(4));
         let g1 = watts_strogatz(50, 3, 0.9, &mut rng(4));
         assert_ne!(g0, g1);
-    }
-
-    #[test]
-    fn er_density() {
-        let g = erdos_renyi(100, 0.1, &mut rng(5));
-        let expected = 0.1 * (100.0 * 99.0 / 2.0);
-        let got = g.num_edges() as f64;
-        assert!((got - expected).abs() < 0.35 * expected, "got {got}, expected ~{expected}");
     }
 
     #[test]

@@ -38,31 +38,18 @@ use crate::convolve::{adjacency_patch, dense_adjacency, inv_degree, sparse_adjac
 ///
 /// Serialized by variant name (`"Dense"` / `"Sparse"`); parsed
 /// case-insensitively from strings via [`FromStr`](std::str::FromStr).
+/// Every config default is `Sparse`; `Dense` is the named oracle that the
+/// equivalence suites and the goldens' dense lane select explicitly.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub enum Backend {
     /// O(n²) dense adjacency tensors (the original representation).
-    #[default]
     Dense,
     /// CSR adjacency through the `Spmm` tape op; O(nnz·d) per aggregation.
+    #[default]
     Sparse,
 }
 
 impl Backend {
-    /// The backend named by the `MSOPDS_BACKEND` environment variable
-    /// (`dense` | `sparse`), or `Dense` when unset. This is
-    /// what config defaults use, so `MSOPDS_BACKEND=sparse cargo test` runs
-    /// the whole suite on the sparse path (the CI backend matrix).
-    ///
-    /// # Panics
-    /// Panics on an unrecognized value — a misspelled backend must not
-    /// silently fall back to dense.
-    pub fn from_env() -> Self {
-        match std::env::var("MSOPDS_BACKEND") {
-            Ok(s) => s.parse().unwrap_or_else(|e: String| panic!("MSOPDS_BACKEND: {e}")),
-            Err(_) => Backend::Dense,
-        }
-    }
-
     /// Canonical lowercase name (`dense` | `sparse`), the form
     /// [`FromStr`](std::str::FromStr) parses back.
     pub fn as_str(&self) -> &'static str {
@@ -275,7 +262,7 @@ mod tests {
             assert_eq!(backend.to_string(), backend.as_str());
             assert_eq!(backend.to_string().parse::<Backend>().unwrap(), backend);
         }
-        assert_eq!(Backend::default(), Backend::Dense);
+        assert_eq!(Backend::default(), Backend::Sparse);
     }
 
     #[test]

@@ -54,7 +54,7 @@ impl Default for HetRecConfig {
             lambda: 1e-2,
             init_std: 0.1,
             attention: true,
-            backend: Backend::from_env(),
+            backend: Backend::default(),
             seed: 0,
         }
     }
@@ -217,11 +217,6 @@ impl HetRec {
             + (0..d).map(|k| uf.at(user, k) * if_.at(item, k)).sum::<f64>()
     }
 
-    /// Predicted ratings of `item` for every user in `users`.
-    pub fn predict_users(&self, users: &[usize], item: usize) -> Vec<f64> {
-        users.iter().map(|&u| self.predict(u, item)).collect()
-    }
-
     /// The global-mean rating anchor μ learned from the last fit.
     pub fn mu(&self) -> f64 {
         self.mu
@@ -230,13 +225,6 @@ impl HetRec {
     /// The damped user/item bias vectors from the last fit.
     pub fn biases(&self) -> (&Tensor, &Tensor) {
         (&self.b_u, &self.b_i)
-    }
-
-    /// The final (post-convolution) user/item embeddings; `None` before
-    /// [`HetRec::fit`]. These are what [`HetRec::predict`] — and the serving
-    /// layer — score with.
-    pub fn final_embeddings(&self) -> Option<(&Tensor, &Tensor)> {
-        self.finals.as_ref().map(|(u, i)| (u, i))
     }
 
     /// Exports the trained model as a [`Snapshot`] (DESIGN.md §12), stamping
@@ -362,6 +350,7 @@ pub(crate) fn rating_triplets(data: &Dataset) -> (Vec<usize>, Vec<usize>, Vec<f6
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::metrics::avg_predicted_rating;
     use msopds_recdata::DatasetSpec;
 
     fn micro_data() -> Dataset {
@@ -467,8 +456,7 @@ mod tests {
         let mut clean = HetRec::new(quick_cfg(false), data.n_users(), data.n_items());
         clean.fit(&data);
         let users: Vec<usize> = (0..10).collect();
-        let before: f64 =
-            clean.predict_users(&users, target).iter().sum::<f64>() / users.len() as f64;
+        let before = avg_predicted_rating(&clean, &users, target);
 
         let actions: Vec<_> = (0..10u32)
             .map(|u| msopds_recdata::PoisonAction::Rating {
@@ -480,8 +468,7 @@ mod tests {
         let poisoned = data.apply_poison(&actions);
         let mut dirty = HetRec::new(quick_cfg(false), poisoned.n_users(), poisoned.n_items());
         dirty.fit(&poisoned);
-        let after: f64 =
-            dirty.predict_users(&users, target).iter().sum::<f64>() / users.len() as f64;
+        let after = avg_predicted_rating(&dirty, &users, target);
         assert!(after > before, "promotion had no effect: {before} -> {after}");
     }
 }

@@ -4,7 +4,7 @@
 
 use std::sync::Arc;
 
-use msopds_autograd::{Tensor, Var};
+use msopds_autograd::Var;
 
 /// The differentiable score model `ℛ(u,i) = μ + b_u + b_i + h_uᶠ·h_iᶠ`
 /// (μ is a constant and cancels in every adversarial objective, so it is not
@@ -22,20 +22,6 @@ pub struct Scores<'t> {
 }
 
 impl<'t> Scores<'t> {
-    /// A score model with zero (constant) biases — used by tests and models
-    /// without bias terms.
-    pub fn without_bias(user_final: Var<'t>, item_final: Var<'t>) -> Self {
-        let tape = user_final.tape();
-        let nu = user_final.value().rows();
-        let ni = item_final.value().rows();
-        Self {
-            user_final,
-            item_final,
-            user_bias: tape.constant(Tensor::zeros(&[nu])),
-            item_bias: tape.constant(Tensor::zeros(&[ni])),
-        }
-    }
-
     /// Scores of one `item` for a list of `users`: `[k]`.
     pub fn users_item(&self, users: &[usize], item: usize) -> Var<'t> {
         let k = users.len();
@@ -100,11 +86,24 @@ mod tests {
     use super::*;
     use msopds_autograd::{Tape, Tensor};
 
+    /// A score model with zero (constant) biases.
+    fn without_bias<'t>(user_final: Var<'t>, item_final: Var<'t>) -> Scores<'t> {
+        let tape = user_final.tape();
+        let nu = user_final.value().rows();
+        let ni = item_final.value().rows();
+        Scores {
+            user_final,
+            item_final,
+            user_bias: tape.constant(Tensor::zeros(&[nu])),
+            item_bias: tape.constant(Tensor::zeros(&[ni])),
+        }
+    }
+
     /// Embeddings where user 0 loves item 0 and hates item 1.
     fn fixture(tape: &Tape) -> Scores<'_> {
         let uf = tape.leaf(Tensor::from_vec(vec![1.0, 0.0, 0.0, 1.0], &[2, 2]));
         let if_ = tape.leaf(Tensor::from_vec(vec![4.0, 0.0, -2.0, 1.0, 3.0, 3.0], &[3, 2]));
-        Scores::without_bias(uf, if_)
+        without_bias(uf, if_)
     }
 
     #[test]
@@ -143,7 +142,7 @@ mod tests {
         let tape = Tape::new();
         let uf = tape.leaf(Tensor::from_vec(vec![1.0, 0.0], &[1, 2]));
         let if_ = tape.leaf(Tensor::from_vec(vec![10.0, 0.0, 0.0, 0.0], &[2, 2]));
-        let s = Scores::without_bias(uf, if_);
+        let s = without_bias(uf, if_);
         let dominated = ca_loss(&s, &[0], 0, &[1]);
         let losing = ca_loss(&s, &[0], 1, &[0]);
         assert!(dominated.item() < 0.0);
@@ -156,7 +155,7 @@ mod tests {
         let tape = Tape::new();
         let uf = tape.leaf(Tensor::from_vec(vec![1.0, 0.5], &[1, 2]));
         let if_ = tape.leaf(Tensor::from_vec(vec![0.4, 0.1, 0.6, 0.2], &[2, 2]));
-        let s = Scores::without_bias(uf, if_);
+        let s = without_bias(uf, if_);
         let l = ca_loss(&s, &[0], 0, &[1]);
         let g = tape.grad(l, &[if_]).remove(0);
         // Increasing the target's score along the user direction reduces the

@@ -37,57 +37,6 @@ pub fn hit_rate_at_k(
     hits as f64 / users.len() as f64
 }
 
-/// Clamps a raw dot-product prediction into the 1–5 star range; reported
-/// alongside raw values in experiment summaries.
-pub fn clamp_stars(x: f64) -> f64 {
-    x.clamp(1.0, 5.0)
-}
-
-/// Precision@k over a user set: the fraction of (user, top-k) slots occupied
-/// by items from `relevant` when ranking `pool` by predicted rating.
-pub fn precision_at_k(
-    model: &HetRec,
-    users: &[usize],
-    pool: &[usize],
-    relevant: &[usize],
-    k: usize,
-) -> f64 {
-    assert!(!users.is_empty() && k > 0);
-    let relevant: std::collections::HashSet<usize> = relevant.iter().copied().collect();
-    let mut hits = 0usize;
-    let mut slots = 0usize;
-    for &u in users {
-        let mut scored: Vec<(f64, usize)> =
-            pool.iter().map(|&i| (model.predict(u, i), i)).collect();
-        scored.sort_by(|a, b| b.0.partial_cmp(&a.0).expect("finite predictions"));
-        for &(_, i) in scored.iter().take(k) {
-            slots += 1;
-            if relevant.contains(&i) {
-                hits += 1;
-            }
-        }
-    }
-    hits as f64 / slots as f64
-}
-
-/// NDCG@k of a single `target` item within `pool`, averaged over `users`:
-/// `1 / log2(rank + 1)` when the target ranks within the top `k`, else 0.
-/// (With a single relevant item the ideal DCG is 1.)
-pub fn ndcg_at_k(model: &HetRec, users: &[usize], target: usize, pool: &[usize], k: usize) -> f64 {
-    assert!(!users.is_empty() && k > 0);
-    assert!(pool.contains(&target), "target must be in the ranking pool");
-    let mut total = 0.0;
-    for &u in users {
-        let target_score = model.predict(u, target);
-        let rank =
-            1 + pool.iter().filter(|&&i| i != target && model.predict(u, i) > target_score).count();
-        if rank <= k {
-            total += 1.0 / ((rank as f64 + 1.0).log2());
-        }
-    }
-    total / users.len() as f64
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -131,43 +80,5 @@ mod tests {
     fn target_must_compete() {
         let (_, model) = trained();
         let _ = hit_rate_at_k(&model, &[0], 50, &[1, 2, 3], 3);
-    }
-
-    #[test]
-    fn clamp() {
-        assert_eq!(clamp_stars(7.3), 5.0);
-        assert_eq!(clamp_stars(-2.0), 1.0);
-        assert_eq!(clamp_stars(3.3), 3.3);
-    }
-
-    #[test]
-    fn ndcg_bounds_and_consistency_with_hit_rate() {
-        let (_, model) = trained();
-        let users: Vec<usize> = (0..10).collect();
-        let pool: Vec<usize> = (0..8).collect();
-        let ndcg1 = ndcg_at_k(&model, &users, 3, &pool, 1);
-        let ndcg8 = ndcg_at_k(&model, &users, 3, &pool, 8);
-        assert!((0.0..=1.0).contains(&ndcg1));
-        assert!(ndcg8 >= ndcg1, "NDCG grows with k");
-        // A rank-1 hit contributes 1/log2(2) = 1; with k = pool size every
-        // user contributes something positive.
-        assert!(ndcg8 > 0.0);
-        // HR@k and NDCG@k agree on emptiness: if HR@1 is 0 then NDCG@1 is 0.
-        let hr1 = hit_rate_at_k(&model, &users, 3, &pool, 1);
-        if hr1 == 0.0 {
-            assert_eq!(ndcg1, 0.0);
-        }
-    }
-
-    #[test]
-    fn precision_counts_relevant_slots() {
-        let (_, model) = trained();
-        let users: Vec<usize> = (0..6).collect();
-        let pool: Vec<usize> = (0..10).collect();
-        // With everything relevant precision is 1; with nothing relevant 0.
-        assert_eq!(precision_at_k(&model, &users, &pool, &pool, 3), 1.0);
-        assert_eq!(precision_at_k(&model, &users, &pool, &[], 3), 0.0);
-        let p = precision_at_k(&model, &users, &pool, &[0, 1, 2], 5);
-        assert!((0.0..=1.0).contains(&p));
     }
 }

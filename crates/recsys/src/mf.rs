@@ -127,11 +127,6 @@ impl MatrixFactorization {
             + (0..self.cfg.dim).map(|k| self.p.at(user, k) * self.q.at(item, k)).sum::<f64>()
     }
 
-    /// Current user factors.
-    pub fn user_factors(&self) -> &Tensor {
-        &self.p
-    }
-
     /// Current item factors.
     pub fn item_factors(&self) -> &Tensor {
         &self.q

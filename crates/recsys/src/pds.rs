@@ -90,7 +90,7 @@ impl Default for PdsConfig {
             init_std: 0.1,
             seed: 0,
             nonfinite_policy: NonFinitePolicy::Abort,
-            backend: Backend::from_env(),
+            backend: Backend::default(),
         }
     }
 }

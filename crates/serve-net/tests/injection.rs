@@ -129,23 +129,3 @@ fn injected_write_delay_slows_but_never_breaks_delivery() {
     assert!(stats.balanced(), "{stats:?}");
     assert_eq!(stats.completed, 1);
 }
-
-/// The drills above arm plans programmatically; production drills arrive via
-/// `MSOPDS_FAULT_PLAN`. Same grammar, same machinery.
-#[test]
-fn env_plan_arms_the_same_machinery() {
-    let _guard = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
-    std::env::set_var("MSOPDS_FAULT_PLAN", "seed=8;serve_net.read=trip@1");
-    msopds_faultline::arm_from_env();
-    std::env::remove_var("MSOPDS_FAULT_PLAN");
-    assert!(msopds_faultline::armed(), "env plan must arm");
-
-    let (net, _pause) = start_rig(64, NetServeConfig::default());
-    let mut client = NetClient::connect(net.local_addr(), RetryPolicy::default()).unwrap();
-    let items = client.query(11, 0, true).expect("short reads still serve");
-    assert!(!items.is_empty());
-    set_plan(None);
-
-    let stats = net.drain();
-    assert!(stats.balanced(), "{stats:?}");
-}

@@ -15,17 +15,19 @@
 //! select axis subsets (the baseline corner is injected automatically).
 //!
 //! Runtime flags (threads, backend, metrics, journaling, retries) are parsed
-//! by [`RuntimeConfig`] — one parse point shared with the `MSOPDS_THREADS`,
-//! `MSOPDS_BACKEND`, `MSOPDS_METRICS` and `MSOPDS_FAULT_PLAN` environment
-//! variables; the flags win over the environment. This file only parses the
-//! experiment-shape flags (`--quick`, `--scale`, `--seeds`, `--out`).
+//! by [`RuntimeConfig::parse`], the one parse point it shares with `serve`.
+//! It also reads the two process-wide variables, `MSOPDS_METRICS` and
+//! `MSOPDS_FAULT_PLAN`; a malformed flag or fault plan exits 2. No other
+//! variable sets a runtime knob. This file only parses the experiment-shape
+//! flags (`--quick`, `--scale`, `--seeds`, `--out`).
 //!
 //! `--metrics-out FILE` enables telemetry recording and writes the collected
 //! span timings, counters and gauges as JSON when the run completes
 //! (equivalently: set `MSOPDS_METRICS=FILE`).
 //!
-//! `--backend sparse` runs every model on the CSR/SpMM graph backend (see
-//! DESIGN.md §11); results agree with the default dense backend to ≤1e-10.
+//! Every model runs on the sparse CSR/SpMM graph backend by default (see
+//! DESIGN.md §11); `--backend dense` selects the O(n²) dense oracle, whose
+//! results agree to ≤1e-10.
 //!
 //! Fault tolerance: `--journal FILE` appends every finished cell to a JSONL
 //! journal; `--resume` replays journaled successes instead of re-running them
@@ -59,11 +61,8 @@ fn main() {
         std::process::exit(2);
     }
 
-    // Runtime knobs: env defaults overlaid with CLI flags, one parse point.
-    let runtime = RuntimeConfig::builder()
-        .parse_cli(&args)
-        .and_then(|(builder, rest)| Ok((builder.build()?, rest)));
-    let (runtime, rest) = match runtime {
+    // Runtime knobs and process-wide variables: one parse point.
+    let (runtime, rest) = match RuntimeConfig::parse(&args) {
         Ok(parsed) => parsed,
         Err(e) => {
             eprintln!("{e}\n{USAGE}");

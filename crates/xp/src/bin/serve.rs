@@ -193,17 +193,8 @@ fn main() {
         _ => String::new(),
     };
 
-    // A malformed fault plan is a config error, not a crash: surface it as
-    // exit 2 before `install()` would panic deep in the harness.
-    if let Ok(plan) = std::env::var("MSOPDS_FAULT_PLAN") {
-        if let Err(e) = msopds_faultline::FaultPlan::parse(&plan) {
-            usage_error(&format!("serve: malformed MSOPDS_FAULT_PLAN: {e}"));
-        }
-    }
-    let runtime = RuntimeConfig::builder()
-        .parse_cli(&args[flags_at..])
-        .and_then(|(builder, rest)| Ok((builder.build()?, rest)));
-    let (runtime, rest) = runtime.unwrap_or_else(|e| usage_error(&e));
+    let (runtime, rest) =
+        RuntimeConfig::parse(&args[flags_at..]).unwrap_or_else(|e| usage_error(&e));
     let opts = Opts::parse(mode, &rest).unwrap_or_else(|e| usage_error(&e));
 
     runtime.install();

@@ -1,12 +1,13 @@
-//! Experiment configuration shared by every table/figure runner, plus the
-//! [`RuntimeConfig`] builder — the single place where environment variables
-//! and CLI flags that control *how* experiments run (threads, backend,
-//! telemetry, fault plans, journaling) are parsed.
+//! Experiment configuration shared by every table/figure runner, plus
+//! [`RuntimeConfig::parse`] — the single place where the CLI flags and
+//! process-wide variables that control *how* experiments run (threads,
+//! backend, telemetry, fault plans, journaling) are parsed.
 
 use std::path::PathBuf;
 
-use msopds_autograd::HvpMode;
+use msopds_autograd::{pool, HvpMode};
 use msopds_core::{MsoConfig, PlannerConfig};
+use msopds_faultline::FaultPlan;
 use msopds_gameplay::GameConfig;
 use msopds_recdata::{DatasetSpec, DemographicsSpec};
 use msopds_recsys::pds::PdsConfig;
@@ -66,22 +67,12 @@ pub struct XpConfig {
     /// Opponent budgets swept by Fig. 7.
     pub opponent_budgets: Vec<usize>,
     /// Total worker budget shared between cell-level parallelism and the
-    /// tensor-kernel pool (see `run_cells`). Defaults to the `MSOPDS_THREADS`
-    /// environment variable when set, else the machine's parallelism.
+    /// tensor-kernel pool (see `run_cells`). Defaults to the machine's
+    /// parallelism.
     pub threads: usize,
     /// Graph-operation backend every model in the sweep runs on. Defaults to
-    /// the `MSOPDS_BACKEND` environment variable (else dense).
+    /// [`Backend::default`] (sparse).
     pub backend: Backend,
-}
-
-/// The default thread budget: `MSOPDS_THREADS` if set to a positive integer,
-/// otherwise the number of available cores.
-pub fn default_threads() -> usize {
-    std::env::var("MSOPDS_THREADS")
-        .ok()
-        .and_then(|s| s.trim().parse::<usize>().ok())
-        .filter(|&n| n > 0)
-        .unwrap_or_else(|| std::thread::available_parallelism().map(|n| n.get()).unwrap_or(4))
 }
 
 impl Default for XpConfig {
@@ -93,8 +84,8 @@ impl Default for XpConfig {
             datasets: DatasetKind::all().to_vec(),
             opponent_counts: vec![1, 2, 3],
             opponent_budgets: vec![1, 2, 3, 4],
-            threads: default_threads(),
-            backend: Backend::from_env(),
+            threads: pool::available_parallelism(),
+            backend: Backend::default(),
         }
     }
 }
@@ -159,12 +150,11 @@ impl XpConfig {
 /// controls *how* a sweep executes, as opposed to *what* it measures
 /// ([`XpConfig`]).
 ///
-/// Built by [`RuntimeConfig::builder`], which seeds every field from the
-/// environment (`MSOPDS_THREADS`, `MSOPDS_BACKEND`, `MSOPDS_METRICS`,
-/// `MSOPDS_FAULT_PLAN`) and then layers CLI flags on top via
-/// [`RuntimeConfigBuilder::parse_cli`]. This is the **only** env/CLI parse
-/// point — `repro` and the runner consume the finished struct.
-#[derive(Clone, Debug, PartialEq, Eq)]
+/// [`RuntimeConfig::parse`] is the only env/CLI parse point of `repro` and
+/// `serve`: it reads the flags, the `MSOPDS_METRICS` path and
+/// `MSOPDS_FAULT_PLAN`, and returns every malformed input as a usage error.
+/// [`Default`] reads nothing.
+#[derive(Clone, Debug, PartialEq)]
 pub struct RuntimeConfig {
     /// Total worker budget (cells × kernel lanes); see [`XpConfig::threads`].
     pub threads: usize,
@@ -173,9 +163,9 @@ pub struct RuntimeConfig {
     /// Write collected telemetry as JSON here on completion; `Some` also
     /// enables recording.
     pub metrics_out: Option<PathBuf>,
-    /// Arm `MSOPDS_FAULT_PLAN` fault injection (builds with the
-    /// `fault-injection` feature; a no-op otherwise).
-    pub arm_faults: bool,
+    /// The `MSOPDS_FAULT_PLAN` plan [`install`](Self::install) arms (builds
+    /// with the `fault-injection` feature; a no-op otherwise).
+    pub fault_plan: Option<FaultPlan>,
     /// Append each finished cell to this JSONL journal.
     pub journal: Option<PathBuf>,
     /// Replay journaled successes instead of re-running them.
@@ -185,66 +175,127 @@ pub struct RuntimeConfig {
     /// Train the clean victim and persist its model snapshot here (the
     /// `repro --snapshot-out` / `repro snapshot` read-path handoff).
     pub snapshot_out: Option<PathBuf>,
-    /// Async-serving latency budget in microseconds (`--deadline-us` /
-    /// `MSOPDS_DEADLINE_US`). The batcher never holds a query back while
-    /// its dispatcher is idle; a batch whose oldest query waited at least
-    /// this long behind a running batch counts as a deadline flush. Only
-    /// the `serve` binary's `load` and `listen` modes consume this.
+    /// Async-serving latency budget in microseconds (`--deadline-us`). The
+    /// batcher never holds a query back while its dispatcher is idle; a
+    /// batch whose oldest query waited at least this long behind a running
+    /// batch counts as a deadline flush. Only the `serve` binary's `load`
+    /// and `listen` modes consume this.
     pub deadline_us: u64,
-    /// Async-serving max coalesced batch (`--max-batch` /
-    /// `MSOPDS_MAX_BATCH`): the largest batch one dispatch takes.
+    /// Async-serving max coalesced batch (`--max-batch`): the largest batch
+    /// one dispatch takes.
     pub max_batch: usize,
-    /// Async-serving admission cap (`--queue-cap` / `MSOPDS_QUEUE_CAP`):
-    /// offers beyond this many pending queries are shed with a typed
-    /// `Overloaded` rejection instead of queueing into unbounded latency.
+    /// Async-serving admission cap (`--queue-cap`): offers beyond this many
+    /// pending queries are shed with a typed `Overloaded` rejection instead
+    /// of queueing into unbounded latency.
     pub queue_cap: usize,
     /// Per-connection in-flight window of the socket front end
-    /// (`--conn-window` / `MSOPDS_CONN_WINDOW`): the server stops reading a
-    /// connection with this many unanswered queries, letting TCP push back
-    /// on the client instead of buffering unboundedly.
+    /// (`--conn-window`): the server stops reading a connection with this
+    /// many unanswered queries, letting TCP push back on the client instead
+    /// of buffering unboundedly.
     pub conn_window: usize,
     /// Upper bound on the socket front end's graceful-drain wait in
-    /// milliseconds (`--drain-ms` / `MSOPDS_DRAIN_MS`).
+    /// milliseconds (`--drain-ms`).
     pub drain_ms: u64,
 }
 
-/// An optional positive-integer environment override, for the async-serving
-/// batcher knobs (`MSOPDS_DEADLINE_US`, `MSOPDS_MAX_BATCH`,
-/// `MSOPDS_QUEUE_CAP`). Unset, empty, or non-positive values fall back.
-fn env_count(var: &str, default: u64) -> u64 {
-    std::env::var(var)
-        .ok()
-        .and_then(|s| s.trim().parse::<u64>().ok())
-        .filter(|&n| n > 0)
-        .unwrap_or(default)
-}
-
-impl RuntimeConfig {
-    /// A builder seeded from the environment.
-    pub fn builder() -> RuntimeConfigBuilder {
-        RuntimeConfigBuilder(RuntimeConfig {
-            threads: default_threads(),
-            backend: Backend::from_env(),
-            metrics_out: telemetry::env_metrics_path(),
-            arm_faults: true,
+impl Default for RuntimeConfig {
+    fn default() -> Self {
+        Self {
+            threads: pool::available_parallelism(),
+            backend: Backend::default(),
+            metrics_out: None,
+            fault_plan: None,
             journal: None,
             resume: false,
             retries: crate::runner::DEFAULT_RETRIES,
             snapshot_out: None,
-            deadline_us: env_count("MSOPDS_DEADLINE_US", 200),
-            max_batch: env_count("MSOPDS_MAX_BATCH", 1024) as usize,
-            queue_cap: env_count("MSOPDS_QUEUE_CAP", 8192) as usize,
-            conn_window: env_count("MSOPDS_CONN_WINDOW", 64) as usize,
-            drain_ms: env_count("MSOPDS_DRAIN_MS", 1000),
-        })
+            deadline_us: 200,
+            max_batch: 1024,
+            queue_cap: 8192,
+            conn_window: 64,
+            drain_ms: 1000,
+        }
+    }
+}
+
+/// Parses the value of a counting flag.
+fn int<T: std::str::FromStr>(flag: &str, value: String) -> Result<T, String> {
+    value.parse().map_err(|_| format!("{flag} takes an integer"))
+}
+
+impl RuntimeConfig {
+    /// Consumes the runtime flags from `args` and returns the validated
+    /// configuration with the remaining (experiment- or mode-specific)
+    /// arguments in order.
+    ///
+    /// Recognized: `--threads N`, `--backend dense|sparse`,
+    /// `--metrics-out FILE`, `--journal FILE`, `--resume`, `--retries N`,
+    /// `--snapshot-out FILE`, `--deadline-us N`, `--max-batch N`,
+    /// `--queue-cap N`, `--conn-window N`, `--drain-ms N`. Without
+    /// `--metrics-out`, an `MSOPDS_METRICS` value that names a file is the
+    /// export path. A set `MSOPDS_FAULT_PLAN` is parsed into
+    /// [`fault_plan`](Self::fault_plan). Errors name the offending flag or
+    /// variable, for `exit(2)`-style usage reporting.
+    pub fn parse(args: &[String]) -> Result<(RuntimeConfig, Vec<String>), String> {
+        let fault_plan = match std::env::var("MSOPDS_FAULT_PLAN") {
+            Ok(plan) if !plan.trim().is_empty() => Some(
+                FaultPlan::parse(&plan).map_err(|e| format!("malformed MSOPDS_FAULT_PLAN: {e}"))?,
+            ),
+            _ => None,
+        };
+        let mut rt = RuntimeConfig {
+            metrics_out: telemetry::env_metrics_path(),
+            fault_plan,
+            ..RuntimeConfig::default()
+        };
+        let mut rest = Vec::new();
+        let mut args = args.iter();
+        while let Some(flag) = args.next() {
+            let flag = flag.as_str();
+            let mut value =
+                || args.next().cloned().ok_or_else(|| format!("{flag} requires a value"));
+            match flag {
+                "--threads" => rt.threads = int(flag, value()?)?,
+                "--backend" => {
+                    rt.backend = value()?.parse().map_err(|e| format!("--backend: {e}"))?;
+                }
+                "--metrics-out" => rt.metrics_out = Some(value()?.into()),
+                "--journal" => rt.journal = Some(value()?.into()),
+                "--resume" => rt.resume = true,
+                "--snapshot-out" => rt.snapshot_out = Some(value()?.into()),
+                "--retries" => rt.retries = int(flag, value()?)?,
+                "--deadline-us" => rt.deadline_us = int(flag, value()?)?,
+                "--max-batch" => rt.max_batch = int(flag, value()?)?,
+                "--queue-cap" => rt.queue_cap = int(flag, value()?)?,
+                "--conn-window" => rt.conn_window = int(flag, value()?)?,
+                "--drain-ms" => rt.drain_ms = int(flag, value()?)?,
+                other => rest.push(other.to_string()),
+            }
+        }
+        if rt.threads == 0 {
+            return Err("--threads must be positive".to_string());
+        }
+        if rt.resume && rt.journal.is_none() {
+            return Err("--resume requires --journal FILE".to_string());
+        }
+        if rt.max_batch == 0 {
+            return Err("--max-batch must be positive".to_string());
+        }
+        if rt.queue_cap == 0 {
+            return Err("--queue-cap must be positive".to_string());
+        }
+        if rt.conn_window == 0 {
+            return Err("--conn-window must be positive".to_string());
+        }
+        Ok((rt, rest))
     }
 
     /// Applies the process-global side effects this configuration implies:
     /// arms the fault plan and switches telemetry recording on when a metrics
     /// path is set. Call once, before running cells.
     pub fn install(&self) {
-        if self.arm_faults {
-            msopds_faultline::arm_from_env();
+        if let Some(plan) = &self.fault_plan {
+            msopds_faultline::set_plan(Some(plan.clone()));
         }
         if self.metrics_out.is_some() {
             telemetry::set_enabled(true);
@@ -273,184 +324,6 @@ impl RuntimeConfig {
             resume: resume_now,
             retries: self.retries,
         }
-    }
-}
-
-/// Builder for [`RuntimeConfig`]; see [`RuntimeConfig::builder`].
-#[derive(Clone, Debug)]
-pub struct RuntimeConfigBuilder(RuntimeConfig);
-
-impl RuntimeConfigBuilder {
-    /// Overrides the worker-thread budget (0 is rejected at [`build`](Self::build)).
-    pub fn threads(mut self, n: usize) -> Self {
-        self.0.threads = n;
-        self
-    }
-
-    /// Overrides the graph-operation backend.
-    pub fn backend(mut self, backend: Backend) -> Self {
-        self.0.backend = backend;
-        self
-    }
-
-    /// Enables telemetry recording and sets the export path.
-    pub fn metrics_out(mut self, path: impl Into<PathBuf>) -> Self {
-        self.0.metrics_out = Some(path.into());
-        self
-    }
-
-    /// Disables fault-plan arming (tests that manage faultline themselves).
-    pub fn no_faults(mut self) -> Self {
-        self.0.arm_faults = false;
-        self
-    }
-
-    /// Sets the cell journal path.
-    pub fn journal(mut self, path: impl Into<PathBuf>) -> Self {
-        self.0.journal = Some(path.into());
-        self
-    }
-
-    /// Replays journaled successes.
-    pub fn resume(mut self, on: bool) -> Self {
-        self.0.resume = on;
-        self
-    }
-
-    /// Sets the per-cell retry budget.
-    pub fn retries(mut self, n: usize) -> Self {
-        self.0.retries = n;
-        self
-    }
-
-    /// Persist the clean victim's model snapshot to `path` after the run.
-    pub fn snapshot_out(mut self, path: impl Into<PathBuf>) -> Self {
-        self.0.snapshot_out = Some(path.into());
-        self
-    }
-
-    /// Overrides the async-serving latency budget, microseconds.
-    pub fn deadline_us(mut self, us: u64) -> Self {
-        self.0.deadline_us = us;
-        self
-    }
-
-    /// Overrides the async-serving max coalesced batch.
-    pub fn max_batch(mut self, n: usize) -> Self {
-        self.0.max_batch = n;
-        self
-    }
-
-    /// Overrides the async-serving admission cap.
-    pub fn queue_cap(mut self, n: usize) -> Self {
-        self.0.queue_cap = n;
-        self
-    }
-
-    /// Overrides the socket front end's per-connection in-flight window.
-    pub fn conn_window(mut self, n: usize) -> Self {
-        self.0.conn_window = n;
-        self
-    }
-
-    /// Overrides the socket front end's graceful-drain bound, milliseconds.
-    pub fn drain_ms(mut self, ms: u64) -> Self {
-        self.0.drain_ms = ms;
-        self
-    }
-
-    /// Consumes the runtime flags from `args`, returning the remaining
-    /// (experiment-specific) arguments in order.
-    ///
-    /// Recognized: `--threads N`, `--backend dense|sparse`,
-    /// `--metrics-out FILE`, `--journal FILE`, `--resume`, `--retries N`,
-    /// `--snapshot-out FILE`, `--deadline-us N`, `--max-batch N`,
-    /// `--queue-cap N`, `--conn-window N`, `--drain-ms N`.
-    /// Errors name the offending flag, for `exit(2)`-style usage reporting.
-    pub fn parse_cli(mut self, args: &[String]) -> Result<(Self, Vec<String>), String> {
-        let mut rest = Vec::new();
-        let mut i = 0;
-        let value = |i: &mut usize, flag: &str| -> Result<String, String> {
-            *i += 1;
-            args.get(*i).cloned().ok_or_else(|| format!("{flag} requires a value"))
-        };
-        while i < args.len() {
-            match args[i].as_str() {
-                "--threads" => {
-                    self.0.threads = value(&mut i, "--threads")?
-                        .parse()
-                        .map_err(|_| "--threads takes an integer".to_string())?;
-                }
-                "--backend" => {
-                    self.0.backend = value(&mut i, "--backend")?
-                        .parse()
-                        .map_err(|e| format!("--backend: {e}"))?;
-                }
-                "--metrics-out" => {
-                    self.0.metrics_out = Some(PathBuf::from(value(&mut i, "--metrics-out")?));
-                }
-                "--journal" => {
-                    self.0.journal = Some(PathBuf::from(value(&mut i, "--journal")?));
-                }
-                "--resume" => self.0.resume = true,
-                "--snapshot-out" => {
-                    self.0.snapshot_out = Some(PathBuf::from(value(&mut i, "--snapshot-out")?));
-                }
-                "--retries" => {
-                    self.0.retries = value(&mut i, "--retries")?
-                        .parse()
-                        .map_err(|_| "--retries takes an integer".to_string())?;
-                }
-                "--deadline-us" => {
-                    self.0.deadline_us = value(&mut i, "--deadline-us")?
-                        .parse()
-                        .map_err(|_| "--deadline-us takes an integer".to_string())?;
-                }
-                "--max-batch" => {
-                    self.0.max_batch = value(&mut i, "--max-batch")?
-                        .parse()
-                        .map_err(|_| "--max-batch takes an integer".to_string())?;
-                }
-                "--queue-cap" => {
-                    self.0.queue_cap = value(&mut i, "--queue-cap")?
-                        .parse()
-                        .map_err(|_| "--queue-cap takes an integer".to_string())?;
-                }
-                "--conn-window" => {
-                    self.0.conn_window = value(&mut i, "--conn-window")?
-                        .parse()
-                        .map_err(|_| "--conn-window takes an integer".to_string())?;
-                }
-                "--drain-ms" => {
-                    self.0.drain_ms = value(&mut i, "--drain-ms")?
-                        .parse()
-                        .map_err(|_| "--drain-ms takes an integer".to_string())?;
-                }
-                other => rest.push(other.to_string()),
-            }
-            i += 1;
-        }
-        Ok((self, rest))
-    }
-
-    /// Validates and produces the [`RuntimeConfig`].
-    pub fn build(self) -> Result<RuntimeConfig, String> {
-        if self.0.threads == 0 {
-            return Err("--threads must be positive".to_string());
-        }
-        if self.0.resume && self.0.journal.is_none() {
-            return Err("--resume requires --journal FILE".to_string());
-        }
-        if self.0.max_batch == 0 {
-            return Err("--max-batch must be positive".to_string());
-        }
-        if self.0.queue_cap == 0 {
-            return Err("--queue-cap must be positive".to_string());
-        }
-        if self.0.conn_window == 0 {
-            return Err("--conn-window must be positive".to_string());
-        }
-        Ok(self.0)
     }
 }
 
@@ -486,17 +359,27 @@ mod tests {
 
     #[test]
     fn game_config_threads_backend_everywhere() {
-        let cfg = XpConfig { backend: Backend::Sparse, ..XpConfig::default() };
+        let cfg = XpConfig { backend: Backend::Dense, ..XpConfig::default() };
         let g = cfg.game(1);
-        assert_eq!(g.victim.backend, Backend::Sparse);
-        assert_eq!(g.planner.pds.backend, Backend::Sparse);
-        assert_eq!(g.opponent_planner.pds.backend, Backend::Sparse);
+        assert_eq!(g.victim.backend, Backend::Dense);
+        assert_eq!(g.planner.pds.backend, Backend::Dense);
+        assert_eq!(g.opponent_planner.pds.backend, Backend::Dense);
+    }
+
+    #[test]
+    fn defaults_are_sparse_and_read_no_environment() {
+        assert_eq!(XpConfig::default().backend, Backend::Sparse);
+        let rt = RuntimeConfig::default();
+        assert_eq!(rt.backend, Backend::Sparse);
+        assert!(rt.threads > 0);
+        assert_eq!((rt.metrics_out, rt.fault_plan), (None, None));
+        assert_eq!((rt.deadline_us, rt.max_batch, rt.queue_cap), (200, 1024, 8192));
+        assert_eq!((rt.conn_window, rt.drain_ms), (64, 1000));
     }
 
     fn cli(args: &[&str]) -> Result<(RuntimeConfig, Vec<String>), String> {
         let args: Vec<String> = args.iter().map(|s| s.to_string()).collect();
-        let (builder, rest) = RuntimeConfig::builder().parse_cli(&args)?;
-        Ok((builder.build()?, rest))
+        RuntimeConfig::parse(&args)
     }
 
     #[test]
@@ -506,7 +389,7 @@ mod tests {
             "--threads",
             "3",
             "--backend",
-            "sparse",
+            "dense",
             "--quick",
             "--retries",
             "2",
@@ -523,72 +406,69 @@ mod tests {
             "64",
             "--queue-cap",
             "2048",
+            "--conn-window",
+            "8",
+            "--drain-ms",
+            "250",
         ])
         .unwrap();
-        assert_eq!(rt.threads, 3);
-        assert_eq!(rt.backend, Backend::Sparse);
-        assert_eq!(rt.retries, 2);
-        assert!(rt.resume);
-        assert_eq!(rt.deadline_us, 500);
-        assert_eq!(rt.max_batch, 64);
-        assert_eq!(rt.queue_cap, 2048);
-        assert_eq!(rt.snapshot_out.as_deref(), Some(std::path::Path::new("victim.snap")));
-        assert_eq!(rt.journal.as_deref(), Some(std::path::Path::new("j.jsonl")));
-        assert_eq!(rt.metrics_out.as_deref(), Some(std::path::Path::new("m.json")));
+        let want = RuntimeConfig {
+            threads: 3,
+            backend: Backend::Dense,
+            metrics_out: Some("m.json".into()),
+            journal: Some("j.jsonl".into()),
+            resume: true,
+            retries: 2,
+            snapshot_out: Some("victim.snap".into()),
+            deadline_us: 500,
+            max_batch: 64,
+            queue_cap: 2048,
+            conn_window: 8,
+            drain_ms: 250,
+            ..RuntimeConfig::default()
+        };
+        assert_eq!(rt, RuntimeConfig { fault_plan: rt.fault_plan.clone(), ..want });
         assert_eq!(rest, vec!["table3".to_string(), "--quick".to_string()]);
     }
 
     #[test]
-    fn runtime_cli_rejects_bad_input() {
-        assert!(cli(&["--backend", "dens"]).unwrap_err().contains("--backend"));
+    fn runtime_cli_rejects_bad_input_for_every_flag() {
+        for (args, needle) in [
+            (&["--threads", "x"][..], "--threads takes an integer"),
+            (&["--threads"], "--threads requires a value"),
+            (&["--threads", "0"], "--threads must be positive"),
+            (&["--backend", "dens"], "--backend"),
+            (&["--backend"], "--backend requires a value"),
+            (&["--metrics-out"], "--metrics-out requires a value"),
+            (&["--journal"], "--journal requires a value"),
+            (&["--resume"], "--resume requires --journal"),
+            (&["--retries", "-1"], "--retries takes an integer"),
+            (&["--snapshot-out"], "--snapshot-out requires a value"),
+            (&["--deadline-us", "soon"], "--deadline-us takes an integer"),
+            (&["--max-batch", "0"], "--max-batch must be positive"),
+            (&["--queue-cap", "abc"], "--queue-cap takes an integer"),
+            (&["--queue-cap", "0"], "--queue-cap must be positive"),
+            (&["--queue-cap"], "--queue-cap requires a value"),
+            (&["--conn-window", "0"], "--conn-window must be positive"),
+            (&["--conn-window", "x"], "--conn-window takes an integer"),
+            (&["--drain-ms", "soon"], "--drain-ms takes an integer"),
+            (&["--drain-ms"], "--drain-ms requires a value"),
+        ] {
+            let err = cli(args).unwrap_err();
+            assert!(err.contains(needle), "{args:?}: {err}");
+        }
         // The retired row-sharded backend must fail loudly, not fall back.
         let err = cli(&["--backend", "sharded"]).unwrap_err();
         assert!(err.contains("--backend") && err.contains("dense|sparse"), "{err}");
-        assert!(cli(&["--threads", "x"]).unwrap_err().contains("--threads"));
-        assert!(cli(&["--threads"]).unwrap_err().contains("requires a value"));
-        assert!(cli(&["--threads", "0"]).unwrap_err().contains("positive"));
-        assert!(cli(&["--resume"]).unwrap_err().contains("--journal"));
-        assert!(cli(&["--deadline-us", "soon"]).unwrap_err().contains("--deadline-us"));
-        assert!(cli(&["--max-batch", "0"]).unwrap_err().contains("--max-batch"));
-        assert!(cli(&["--queue-cap", "0"]).unwrap_err().contains("--queue-cap"));
-        assert!(cli(&["--queue-cap"]).unwrap_err().contains("requires a value"));
-    }
-
-    #[test]
-    fn runtime_batcher_knobs_default_to_issue_values() {
-        let rt = RuntimeConfig::builder().build().unwrap();
-        assert_eq!(rt.deadline_us, 200);
-        assert_eq!(rt.max_batch, 1024);
-        assert_eq!(rt.queue_cap, 8192);
-        let rt =
-            RuntimeConfig::builder().deadline_us(50).max_batch(8).queue_cap(32).build().unwrap();
-        assert_eq!((rt.deadline_us, rt.max_batch, rt.queue_cap), (50, 8, 32));
-    }
-
-    #[test]
-    fn runtime_net_knobs_parse_default_and_validate() {
-        let rt = RuntimeConfig::builder().build().unwrap();
-        assert_eq!(rt.conn_window, 64);
-        assert_eq!(rt.drain_ms, 1000);
-
-        let (rt, rest) = cli(&["--conn-window", "8", "--drain-ms", "250"]).unwrap();
-        assert_eq!(rt.conn_window, 8);
-        assert_eq!(rt.drain_ms, 250);
-        assert!(rest.is_empty());
-
-        assert!(cli(&["--conn-window", "0"]).unwrap_err().contains("--conn-window"));
-        assert!(cli(&["--conn-window", "x"]).unwrap_err().contains("--conn-window"));
-        assert!(cli(&["--drain-ms", "soon"]).unwrap_err().contains("--drain-ms"));
-        assert!(cli(&["--drain-ms"]).unwrap_err().contains("requires a value"));
     }
 
     #[test]
     fn runtime_applies_to_xp_config_and_run_options() {
-        let rt = RuntimeConfig::builder().threads(2).backend(Backend::Sparse).build().unwrap();
+        let rt = RuntimeConfig { threads: 2, backend: Backend::Dense, ..RuntimeConfig::default() };
         let mut cfg = XpConfig::quick();
         rt.apply_to(&mut cfg);
         assert_eq!(cfg.threads, 2);
-        assert_eq!(cfg.backend, Backend::Sparse);
+        assert_eq!(cfg.backend, Backend::Dense);
         let opts = rt.run_options("fig6", false);
         assert_eq!(opts.experiment, "fig6");
         assert_eq!(opts.retries, rt.retries);

@@ -24,7 +24,7 @@ pub mod matrix;
 pub mod runner;
 pub mod serving;
 
-pub use config::{DatasetKind, RuntimeConfig, RuntimeConfigBuilder, XpConfig};
+pub use config::{DatasetKind, RuntimeConfig, XpConfig};
 pub use experiments::{
     defense_cells, fig6_cells, fig7_cells, fig8_cells, fig9_cells, render_table, run_experiment,
     sweep_methods, table3_cells, to_json, Variant,

@@ -186,6 +186,21 @@ mod injection {
         std::fs::remove_file(&path).ok();
     }
 
+    /// Binaries arm `MSOPDS_FAULT_PLAN` through `RuntimeConfig::parse` and
+    /// `install`; the parsed plan is the one the drills arm by hand.
+    #[test]
+    fn env_plan_arms_through_runtime_config() {
+        let _guard = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
+        std::env::set_var("MSOPDS_FAULT_PLAN", "seed=9;xp.cell=panic@0.5");
+        let parsed = msopds_xp::RuntimeConfig::parse(&[]);
+        std::env::remove_var("MSOPDS_FAULT_PLAN");
+        let (rt, _) = parsed.expect("a valid plan parses");
+        assert_eq!(rt.fault_plan, Some(FaultPlan::parse("seed=9;xp.cell=panic@0.5").unwrap()));
+        rt.install();
+        assert!(msopds_faultline::armed(), "install must arm the parsed plan");
+        set_plan(None);
+    }
+
     #[test]
     fn retries_reroll_injected_faults() {
         let _guard = SERIAL.lock().unwrap_or_else(|e| e.into_inner());

@@ -1,11 +1,12 @@
 //! The `serve` binary end to end, one process per mode, on a tiny snapshot:
 //! the stdout JSON identities of `batch` and `load`, a `listen` → `connect`
 //! → SIGTERM drain with balanced books, and the exit-code convention
-//! (2 usage or config error, 1 load failure).
+//! (2 usage or config error, 1 load failure) it shares with `repro`.
 
 mod common;
 
 use std::path::PathBuf;
+use std::process::Command;
 
 use common::{path_str, run, run_json, serve, Json, Listener};
 use msopds_autograd::Tensor;
@@ -155,4 +156,39 @@ fn v1_snapshot_exits_1() {
         assert!(err.contains("repro snapshot"), "{err}");
     }
     std::fs::remove_file(&snap).ok();
+}
+
+/// Flags are the only runtime knobs: the old environment twins of
+/// `--backend` and `--queue-cap` are not read, so values that once panicked
+/// the binary or were dropped silently leave the exit code to the real
+/// failure, here a snapshot that does not exist.
+#[test]
+fn retired_env_knobs_leave_a_missing_snapshot_at_exit_1() {
+    let missing =
+        std::env::temp_dir().join(format!("msopds-serve-cli-missing-{}.snap", std::process::id()));
+    let out = serve(&["batch", "--snapshot", path_str(&missing)])
+        .env("MSOPDS_BACKEND", "sharded")
+        .env("MSOPDS_QUEUE_CAP", "abc")
+        .output()
+        .expect("spawn serve");
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{err}");
+    assert!(err.contains("cannot load"), "{err}");
+}
+
+/// `repro` parses `MSOPDS_FAULT_PLAN` at the same point as its flags, so a
+/// malformed plan is a usage error in every build, before any work starts.
+#[test]
+fn repro_malformed_fault_plan_exits_2() {
+    let out_path =
+        std::env::temp_dir().join(format!("msopds-repro-cli-plan-{}.snap", std::process::id()));
+    let out = Command::new(env!("CARGO_BIN_EXE_repro"))
+        .args(["snapshot", "--quick", "--snapshot-out", path_str(&out_path)])
+        .env("MSOPDS_FAULT_PLAN", "seed=1;not-a-site")
+        .output()
+        .expect("spawn repro");
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "{err}");
+    assert!(err.contains("MSOPDS_FAULT_PLAN"), "{err}");
+    assert!(!out_path.exists(), "a usage error must not write a snapshot");
 }

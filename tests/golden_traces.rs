@@ -4,11 +4,13 @@
 //! Every attack in the repertoire (MSOPDS and the §VI-A.5 baselines) is run
 //! on one frozen world and its two paper metrics — HR@10 lift and prediction
 //! shift of the target item — are compared against `tests/golden/<method>.json`
-//! within an absolute tolerance of 1e-6. The whole pipeline is deterministic
-//! and bit-identical across kernel backends and lane counts (the victim uses
-//! attention convolution, which materializes identically under `Dense` and
-//! `Sparse` GraphOps), so any drift beyond rounding is a behaviour change —
-//! an optimisation that reorders floating-point math, a planner tweak, a
+//! within an absolute tolerance of 1e-6. Every trace runs twice against the
+//! same JSON: on the default graph backend (`Sparse`) and on the `Dense`
+//! oracle. The whole pipeline is deterministic and bit-identical across
+//! graph backends and kernel lane counts (the victim uses attention
+//! convolution, which materializes identically under `Dense` and `Sparse`
+//! GraphOps), so any drift beyond rounding is a behaviour change — an
+//! optimisation that reorders floating-point math, a planner tweak, a
 //! dataset-generator edit — and must be reviewed, not absorbed.
 //!
 //! To re-bless after an *intentional* change:
@@ -17,8 +19,9 @@
 //! MSOPDS_BLESS=1 cargo test --test golden_traces
 //! ```
 //!
-//! then inspect the diff of `tests/golden/*.json` and commit it. See
-//! `tests/README.md` for the policy.
+//! then inspect the diff of `tests/golden/*.json` and commit it. Blessing
+//! writes the default lane's trace; the Dense lane is still checked against
+//! it. See `tests/README.md` for the policy.
 
 mod common;
 
@@ -26,7 +29,7 @@ use std::path::PathBuf;
 
 use msopds::prelude::*;
 use msopds::recsys::metrics::{avg_predicted_rating, hit_rate_at_k};
-use msopds::recsys::{HetRec, HetRecConfig};
+use msopds::recsys::{Backend, HetRec, HetRecConfig};
 use serde::{Deserialize, Serialize};
 
 /// Absolute per-metric tolerance. The pipeline is bit-deterministic, so this
@@ -35,6 +38,21 @@ const TOL: f64 = 1e-6;
 
 /// Ranking depth for the golden hit-rate (HR@10 over a 15-item pool).
 const K: usize = 10;
+
+/// The graph-backend lanes every golden runs on: the default, then the
+/// `Dense` oracle.
+fn lanes() -> [Backend; 2] {
+    [Backend::default(), Backend::Dense]
+}
+
+/// The shared tiny game with every model on `backend`.
+fn game_cfg(backend: Backend) -> GameConfig {
+    let mut cfg = common::tiny_game_cfg();
+    cfg.victim.backend = backend;
+    cfg.planner.pds.backend = backend;
+    cfg.opponent_planner.pds.backend = backend;
+    cfg
+}
 
 /// One attack's pinned outcome. Metrics are measured on a freshly retrained
 /// victim exactly as `score_world` trains it; `clean_*` columns come from the
@@ -58,6 +76,30 @@ fn bless() -> bool {
 
 fn golden_path(slug: &str) -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/golden").join(format!("{slug}.json"))
+}
+
+/// The pinned trace in `tests/golden/<slug>.json` to compare `trace` with,
+/// or `None` once `trace` is blessed there (`MSOPDS_BLESS=1`, default lane
+/// only).
+fn pinned<T: Serialize + Deserialize>(slug: &str, lane: Backend, trace: &T) -> Option<T> {
+    let path = golden_path(slug);
+    if bless() && lane == Backend::default() {
+        std::fs::create_dir_all(path.parent().unwrap()).unwrap();
+        let json = serde_json::to_string_pretty(trace).unwrap();
+        std::fs::write(&path, json + "\n").unwrap();
+        eprintln!("blessed {}", path.display());
+        return None;
+    }
+    let raw = std::fs::read_to_string(&path).unwrap_or_else(|e| {
+        panic!(
+            "missing golden file {} ({e}).\nGenerate it with:\n\n    \
+             MSOPDS_BLESS=1 cargo test --test golden_traces\n",
+            path.display()
+        )
+    });
+    let want = serde_json::from_str(&raw)
+        .unwrap_or_else(|e| panic!("unparseable golden file {}: {e:?}", path.display()));
+    Some(want)
 }
 
 /// The frozen world every golden trace runs on.
@@ -99,13 +141,13 @@ fn eval_victim(world: &Dataset, cfg: &GameConfig) -> HetRec {
 }
 
 /// The clean reference: the evaluation victim fitted on the unpoisoned
-/// world, with its two metrics. Built once per test binary.
-fn clean_reference() -> &'static (f64, f64) {
+/// world, with its two metrics. Built once per lane and test binary.
+fn clean_reference(lane: Backend) -> &'static (f64, f64) {
     use std::sync::OnceLock;
-    static CLEAN: OnceLock<(f64, f64)> = OnceLock::new();
-    CLEAN.get_or_init(|| {
+    static CLEAN: [OnceLock<(f64, f64)>; 2] = [OnceLock::new(), OnceLock::new()];
+    CLEAN[lane as usize].get_or_init(|| {
         let (data, market) = fixture();
-        let victim = eval_victim(data, &common::tiny_game_cfg());
+        let victim = eval_victim(data, &game_cfg(lane));
         let pool = competing_pool(data, market.target_item);
         (
             hit_rate_at_k(&victim, &market.target_audience, market.target_item, &pool, K),
@@ -126,13 +168,20 @@ fn check(method: &str, field: &str, got: f64, want: f64) {
     );
 }
 
-/// Runs `method` on the frozen world, measures its trace, and either blesses
-/// `tests/golden/<slug>.json` (`MSOPDS_BLESS=1`) or asserts against it.
+/// Runs `method` on the frozen world on every lane, measures its trace, and
+/// either blesses `tests/golden/<slug>.json` (`MSOPDS_BLESS=1`) or asserts
+/// against it.
 fn run_trace(method: AttackMethod, slug: &str) {
+    for lane in lanes() {
+        run_trace_on(method, slug, lane);
+    }
+}
+
+fn run_trace_on(method: AttackMethod, slug: &str, lane: Backend) {
     let (data, market) = fixture();
-    let cfg = common::tiny_game_cfg();
+    let cfg = game_cfg(lane);
     let pool = competing_pool(data, market.target_item);
-    let &(clean_hr, clean_rbar) = clean_reference();
+    let &(clean_hr, clean_rbar) = clean_reference(lane);
 
     let played = msopds::gameplay::play_world(data, market, method, &cfg);
     let victim = eval_victim(&played.world, &cfg);
@@ -150,26 +199,9 @@ fn run_trace(method: AttackMethod, slug: &str) {
         poisoned_avg_rating: rbar,
         prediction_shift: rbar - clean_rbar,
     };
+    let Some(want) = pinned::<GoldenTrace>(slug, lane, &trace) else { return };
 
-    let path = golden_path(slug);
-    if bless() {
-        std::fs::create_dir_all(path.parent().unwrap()).unwrap();
-        let json = serde_json::to_string_pretty(&trace).unwrap();
-        std::fs::write(&path, json + "\n").unwrap();
-        eprintln!("blessed {}", path.display());
-        return;
-    }
-
-    let raw = std::fs::read_to_string(&path).unwrap_or_else(|e| {
-        panic!(
-            "missing golden file {} ({e}).\nGenerate it with:\n\n    \
-             MSOPDS_BLESS=1 cargo test --test golden_traces\n",
-            path.display()
-        )
-    });
-    let want: GoldenTrace = serde_json::from_str(&raw)
-        .unwrap_or_else(|e| panic!("unparseable golden file {}: {e:?}", path.display()));
-
+    let slug = &format!("{slug} ({lane} lane)");
     assert_eq!(trace.method, want.method, "method name changed for {slug}");
     assert_eq!(
         trace.attacker_actions, want.attacker_actions,
@@ -238,14 +270,20 @@ fn flooded_fixture() -> &'static Dataset {
     })
 }
 
-/// Runs detector pipeline `spec` on the flood fixture and pins its trace to
-/// `tests/golden/detector_<slug>.json`.
+/// Runs detector pipeline `spec` on the flood fixture on every lane and pins
+/// its trace to `tests/golden/detector_<slug>.json`.
 fn run_detector_trace(spec: &str, slug: &str) {
+    for lane in lanes() {
+        run_detector_trace_on(spec, slug, lane);
+    }
+}
+
+fn run_detector_trace_on(spec: &str, slug: &str, lane: Backend) {
     let (_, market) = fixture();
-    let cfg = common::tiny_game_cfg();
+    let cfg = game_cfg(lane);
     let world = flooded_fixture();
     let pool = competing_pool(&fixture().0, market.target_item);
-    let &(clean_hr, clean_rbar) = clean_reference();
+    let &(clean_hr, clean_rbar) = clean_reference(lane);
 
     let policy = msopds::gameplay::ShadowBanPolicy::from_spec(spec).expect("valid spec");
     let (scrubbed, reports) = policy.run(world);
@@ -266,26 +304,11 @@ fn run_detector_trace(spec: &str, slug: &str) {
         hr_lift_at_10: hr - clean_hr,
         prediction_shift: rbar - clean_rbar,
     };
-
-    let path = golden_path(&format!("detector_{slug}"));
-    if bless() {
-        std::fs::create_dir_all(path.parent().unwrap()).unwrap();
-        let json = serde_json::to_string_pretty(&trace).unwrap();
-        std::fs::write(&path, json + "\n").unwrap();
-        eprintln!("blessed {}", path.display());
+    let Some(want) = pinned::<DetectorGolden>(&format!("detector_{slug}"), lane, &trace) else {
         return;
-    }
+    };
 
-    let raw = std::fs::read_to_string(&path).unwrap_or_else(|e| {
-        panic!(
-            "missing golden file {} ({e}).\nGenerate it with:\n\n    \
-             MSOPDS_BLESS=1 cargo test --test golden_traces\n",
-            path.display()
-        )
-    });
-    let want: DetectorGolden = serde_json::from_str(&raw)
-        .unwrap_or_else(|e| panic!("unparseable golden file {}: {e:?}", path.display()));
-
+    let slug = &format!("{slug} ({lane} lane)");
     assert_eq!(trace.spec, want.spec);
     assert_eq!(trace.stages, want.stages, "stage list changed for {slug}");
     assert_eq!(
